@@ -34,9 +34,8 @@
 #include <memory>
 
 #include "core/bfunc.hpp"
-#include "core/dcsa_node.hpp"
+#include "core/dcsa_columns.hpp"
 #include "core/network_sim.hpp"
-#include "core/weighted_dcsa_node.hpp"
 #include "net/link_quality.hpp"
 #include "net/scenario.hpp"
 #include "net/topology.hpp"
@@ -75,23 +74,21 @@ void BM_Ablation_InitialTolerance(benchmark::State& state) {
     for (std::size_t i = 0; i < n; ++i) {
       schedules.emplace_back(i < n / 2 ? 1.0 + p.rho : 1.0 - p.rho);
     }
-    std::vector<gcs::core::DcsaNode*> nodes(n, nullptr);
-    auto* nodes_ptr = &nodes;
-    auto factory = [p, ablated, nodes_ptr](gcs::core::NodeId id) {
-      auto node = std::make_unique<gcs::core::DcsaNode>(p, ablated);
-      (*nodes_ptr)[id] = node.get();
-      return node;
-    };
+    gcs::core::DcsaRule rule(p);
+    rule.tolerance = ablated;
+    auto store = std::make_unique<gcs::core::DcsaColumns>(p, n, rule);
+    const gcs::core::DcsaColumns& columns = *store;
     gcs::core::NetworkSimulation sim(
         p, scenario.to_dynamic_graph(),
-        gcs::net::make_constant_delay(p.T, p.T), std::move(schedules), factory);
+        gcs::net::make_constant_delay(p.T, p.T), std::move(schedules),
+        std::move(store));
     sim.run_until(add_time);
     skew_at_add = std::abs(sim.skew(u, far_node));
     double blocked = 0.0;
     double local_peak = 0.0;
     const double sample_dt = 0.05;
     sim.schedule_periodic(add_time + sample_dt, sample_dt, [&](gcs::sim::Time) {
-      if (nodes[u]->is_blocked_by(far_node, sim.hardware_clock(u))) {
+      if (columns.is_blocked_by(u, far_node, sim.hardware_clock(u))) {
         blocked += sample_dt;
       }
       local_peak = std::max(local_peak,
@@ -144,20 +141,16 @@ void BM_Ablation_WeightedTolerance(benchmark::State& state) {
     for (std::size_t i = 0; i < n; ++i) {
       schedules.emplace_back(i < n / 2 ? 1.0 + p.rho : 1.0 - p.rho);
     }
-    auto factory =
-        [p, qualities, weighted](gcs::core::NodeId) -> std::unique_ptr<gcs::core::NodeAutomaton> {
-      if (!weighted) {
-        return std::make_unique<gcs::core::DcsaNode>(p);
-      }
-      auto weight = [qualities](gcs::core::NodeId a, gcs::core::NodeId b) {
+    gcs::core::DcsaRule rule(p);
+    if (weighted) {
+      rule.weight = [&qualities](gcs::core::NodeId a, gcs::core::NodeId b) {
         return qualities.weight(gcs::net::Edge(a, b));
       };
-      return std::make_unique<gcs::core::WeightedDcsaNode>(p, weight, 0.5);
-    };
+    }
     gcs::core::NetworkSimulation sim(
         p, scenario.to_dynamic_graph(),
         gcs::net::make_uniform_delay(p.T, 0.0, p.T), std::move(schedules),
-        factory);
+        std::make_unique<gcs::core::DcsaColumns>(p, n, rule));
     double tight = 0.0;
     double loose = 0.0;
     sim.schedule_periodic(add_time + 0.25, 0.25, [&](gcs::sim::Time) {

@@ -22,12 +22,13 @@
 #include <thread>
 #include <vector>
 
-#include "core/dcsa_node.hpp"
 #include "core/network_sim.hpp"
 #include "harness/experiment.hpp"
 #include "net/scenario.hpp"
 #include "net/topology.hpp"
 #include "obs/telemetry.hpp"
+#include "oracle/automaton_store.hpp"
+#include "oracle/dcsa_node.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
@@ -157,9 +158,9 @@ void BM_DcsaSimulation(benchmark::State& state) {
         params, gcs::net::DynamicGraph(n, gcs::net::make_ring(n).edges(), {}),
         gcs::net::make_constant_delay(params.T, params.T / 2.0),
         std::move(schedules),
-        [&params](gcs::core::NodeId) {
-          return std::make_unique<gcs::core::DcsaNode>(params);
-        },
+        gcs::oracle::automaton_store(n, [&params](gcs::core::NodeId) {
+          return std::make_unique<gcs::oracle::DcsaNode>(params);
+        }),
         options);
     sim.run_until(50.0);
     events = sim.events_executed();
@@ -198,9 +199,9 @@ void BM_DcsaDenseDelivery(benchmark::State& state) {
         gcs::net::DynamicGraph(n, gcs::net::make_complete(n).edges(), {}),
         gcs::net::make_constant_delay(params.T, params.T / 2.0),
         std::move(schedules),
-        [&params](gcs::core::NodeId) {
-          return std::make_unique<gcs::core::DcsaNode>(params);
-        },
+        gcs::oracle::automaton_store(n, [&params](gcs::core::NodeId) {
+          return std::make_unique<gcs::oracle::DcsaNode>(params);
+        }),
         options);
     sim.run_until(30.0);
     events = sim.events_executed();
@@ -294,9 +295,9 @@ void BM_ShardedHold(benchmark::State& state) {
         params, gcs::net::DynamicGraph(n, gcs::net::make_ring(n).edges(), {}),
         gcs::net::make_constant_delay(params.T, params.T / 2.0),
         std::move(schedules),
-        [&params](gcs::core::NodeId) {
-          return std::make_unique<gcs::core::DcsaNode>(params);
-        },
+        gcs::oracle::automaton_store(n, [&params](gcs::core::NodeId) {
+          return std::make_unique<gcs::oracle::DcsaNode>(params);
+        }),
         options);
     sim.run_until(4.0);
     return sim.events_executed();
@@ -330,58 +331,117 @@ void BM_ShardedHold(benchmark::State& state) {
       static_cast<double>(std::thread::hardware_concurrency());
 }
 
+// One million_node-shaped cell driven through the simulator's NodeStore
+// constructor, sampled every sample_dt the way run_experiment samples a
+// cell (batch clock read, global skew, local skew against the B envelope
+// on every live edge, in-flight and queue gauges).  Both arms of
+// BM_MillionNodeChurn run through here, so they do identical work and
+// differ only in the node store.
+struct ChurnArm {
+  std::uint64_t events = 0;
+  std::uint64_t jumps = 0;
+  std::uint64_t arena_bytes = 0;
+  double max_global_skew = 0.0;
+};
+
+ChurnArm run_churn_arm(const gcs::core::SyncParams& params,
+                       const gcs::net::Scenario& scenario, std::uint64_t seed,
+                       double horizon, double sample_dt,
+                       std::unique_ptr<gcs::core::NodeStore> store) {
+  const std::size_t n = params.n;
+  std::vector<gcs::clk::RateSchedule> schedules;
+  schedules.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    schedules.push_back(gcs::clk::RateSchedule::random_walk(
+        params.rho, 1.0, params.rho / 4.0, seed * 7919 + i));
+  }
+  gcs::core::SimOptions options;
+  options.seed = seed;
+  gcs::core::NetworkSimulation sim(
+      params, scenario.to_dynamic_graph(),
+      gcs::net::make_constant_delay(params.T, 0.25), std::move(schedules),
+      std::move(store), options);
+  ChurnArm arm;
+  std::vector<double> hw;
+  std::vector<double> logical;
+  double gauges = 0.0;
+  sim.schedule_periodic(sample_dt, sample_dt, [&](gcs::sim::Time) {
+    sim.sample_clocks(hw, logical);
+    const auto [lo, hi] = std::minmax_element(logical.begin(), logical.end());
+    arm.max_global_skew = std::max(arm.max_global_skew, *hi - *lo);
+    double max_ratio = 0.0;
+    for (const gcs::net::Edge& e : sim.current_edges()) {
+      const double local = std::abs(logical[e.u] - logical[e.v]);
+      const double envelope =
+          sim.bfunc()((1.0 - params.rho) * sim.edge_age(e));
+      max_ratio = std::max(max_ratio, local / envelope);
+    }
+    const gcs::core::RunStats& s = sim.stats();
+    gauges += max_ratio +
+              static_cast<double>(s.messages_sent - s.messages_delivered) +
+              static_cast<double>(sim.engine_pending()) +
+              sim.max_queue_backlog();
+  });
+  sim.run_until(horizon);
+  benchmark::DoNotOptimize(gauges);
+  arm.events = sim.events_executed();
+  arm.jumps = sim.stats().jumps;
+  arm.arena_bytes = sim.stats().arena_bytes;
+  return arm;
+}
+
 // Million-node proxy: the campaigns/million_node.json cell scaled down
 // to a size google-benchmark can iterate (same churn shape, rho, T, D,
 // delay floor, and horizon; only n shrinks).  Each iteration runs the
-// PAIR of stores back to back -- adapter (per-node objects) then columns
-// (struct-of-arrays) -- and the reported `columns_speedup_ratio` is the
-// MEDIAN of the per-pair adapter/columns wall-time quotients, the same
-// common-mode-noise-cancelling scheme as BM_TelemetryOverhead.  The two
-// arms must agree on trajectory counters (the store-equivalence
-// contract) or the benchmark is voided.  scripts/perf_compare.py gates
-// the ratio at >= 0.9: columns must never regress meaningfully below
-// the object path it replaced.
+// PAIR of stores back to back -- the per-node oracle automatons
+// (tests/oracle/) then the struct-of-arrays columns -- and the reported
+// `columns_speedup_ratio` is the MEDIAN of the per-pair oracle/columns
+// wall-time quotients, the same common-mode-noise-cancelling scheme as
+// BM_TelemetryOverhead.  The two arms must agree on trajectory counters
+// (the lockstep-oracle contract) or the benchmark is voided.
+// scripts/perf_compare.py gates the ratio at >= 0.9: columns must never
+// regress meaningfully below the object path it replaced.
 void BM_MillionNodeChurn(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  gcs::harness::ExperimentConfig cfg;
-  cfg.params.n = n;
-  cfg.params.rho = 0.02;
-  cfg.params.T = 0.5;
-  cfg.params.D = 1.0;
-  cfg.params.delta_h = 0.5;
-  cfg.params.B0 = 20.0;
-  cfg.drift = "walk";
-  cfg.delay = "constant:0.25";
-  cfg.horizon = 4.0;
-  cfg.sample_dt = 1.0;
-  cfg.seed = 1;
-  gcs::util::Rng scenario_rng(cfg.seed);
-  cfg.scenario = gcs::net::make_churn_scenario(n, 64, 2.0, cfg.horizon,
-                                               scenario_rng);
+  gcs::core::SyncParams params;
+  params.n = n;
+  params.rho = 0.02;
+  params.T = 0.5;
+  params.D = 1.0;
+  params.delta_h = 0.5;
+  params.B0 = 20.0;
+  const std::uint64_t seed = 1;
+  const double horizon = 4.0;
+  const double sample_dt = 1.0;
+  gcs::util::Rng scenario_rng(seed);
+  const gcs::net::Scenario scenario =
+      gcs::net::make_churn_scenario(n, 64, 2.0, horizon, scenario_rng);
 
   using BenchClock = std::chrono::steady_clock;
   std::vector<double> ratios;
   std::uint64_t events = 0;
   std::uint64_t arena_bytes = 0;
   for (auto _ : state) {
-    cfg.store = "adapter";
     const auto t0 = BenchClock::now();
-    const auto adapter = gcs::harness::run_experiment(cfg);
+    const ChurnArm per_node = run_churn_arm(
+        params, scenario, seed, horizon, sample_dt,
+        gcs::oracle::automaton_store(n, [&params](gcs::core::NodeId) {
+          return std::make_unique<gcs::oracle::DcsaNode>(params);
+        }));
     const auto t1 = BenchClock::now();
-    cfg.store = "columns";
-    const auto columns = gcs::harness::run_experiment(cfg);
+    const ChurnArm columns =
+        run_churn_arm(params, scenario, seed, horizon, sample_dt, nullptr);
     const auto t2 = BenchClock::now();
-    if (adapter.events_executed != columns.events_executed ||
-        adapter.run_stats.jumps != columns.run_stats.jumps ||
-        adapter.max_global_skew != columns.max_global_skew) {
-      state.SkipWithError("stores diverged; see gcs_store_equivalence");
+    if (per_node.events != columns.events || per_node.jumps != columns.jumps ||
+        per_node.max_global_skew != columns.max_global_skew) {
+      state.SkipWithError("stores diverged; see tests/test_store_oracle.cpp");
       return;
     }
-    events = columns.events_executed;
-    arena_bytes = columns.run_stats.arena_bytes;
-    const double adapter_s = std::chrono::duration<double>(t1 - t0).count();
+    events = columns.events;
+    arena_bytes = columns.arena_bytes;
+    const double per_node_s = std::chrono::duration<double>(t1 - t0).count();
     const double columns_s = std::chrono::duration<double>(t2 - t1).count();
-    if (columns_s > 0.0) ratios.push_back(adapter_s / columns_s);
+    if (columns_s > 0.0) ratios.push_back(per_node_s / columns_s);
   }
   std::sort(ratios.begin(), ratios.end());
   state.SetItemsProcessed(static_cast<std::int64_t>(2 * events) *

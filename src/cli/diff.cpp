@@ -52,9 +52,10 @@ bool is_float_field(const std::string& key) {
 }
 
 // Machine-describing fields, skipped unless --timing asks for them:
-// wall-clock timing plus the schema-v5 memory pair (arena_bytes differs
-// between the columns and adapter stores by design; peak_rss_kb is a
-// per-process high-water mark that varies run to run).
+// wall-clock timing plus the schema-v5 memory pair (arena_bytes is a
+// store-layout footprint -- trees from the retired per-node store echo
+// 0 for the same trajectory; peak_rss_kb is a per-process high-water
+// mark that varies run to run).
 bool is_timing_field(const std::string& key) {
   return key == "wall_ms" || key == "events_per_sec" ||
          key == "arena_bytes" || key == "peak_rss_kb";
@@ -211,9 +212,10 @@ struct Differ {
         }
       }
       // The shard count and node-store layout are execution layout, not
-      // physics: every shard count >= 1 and both stores (columns /
-      // adapter) produce the same trajectory bytes (the determinism and
-      // store-equivalence matrices prove it), so trees run at different
+      // physics: every shard count >= 1 produces the same trajectory
+      // bytes (the determinism matrix proves it), and older trees echo
+      // "store": "adapter" for trajectories the columns store reproduces
+      // (the oracle matrix proves it), so trees run at different
       // settings should diff clean.  The engine_stats shard counters are
       // already K-invariant; the store-dependent arena_bytes is skipped
       // with the timing fields above.

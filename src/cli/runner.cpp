@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -63,11 +64,20 @@ void write_file(const fs::path& path, const std::string& content) {
   if (!out) throw std::runtime_error("cannot write " + path.string());
 }
 
-// Process high-water RSS in KiB (getrusage's ru_maxrss unit on Linux);
-// 0 when the platform call fails.  This is the runner-filled
-// run_stats.peak_rss_kb -- a machine-visibility counter like wall_ms,
-// pinned to 0 under --fixed-timing and ignored by gcs_diff.
+// Process high-water RSS in KiB; 0 when no source is readable.  This is
+// the runner-filled run_stats.peak_rss_kb -- a machine-visibility
+// counter like wall_ms, pinned to 0 under --fixed-timing and ignored by
+// gcs_diff.  Linux's VmHWM belongs to the address space, so it starts
+// over at exec; getrusage's ru_maxrss survives exec, so a gcs_run
+// started by a large parent would report at least the parent's peak.
+// ru_maxrss is the fallback where /proc is absent.
 std::uint64_t process_peak_rss_kb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtoull(line.c_str() + 6, nullptr, 10);
+    }
+  }
   struct rusage usage;
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   return usage.ru_maxrss > 0 ? static_cast<std::uint64_t>(usage.ru_maxrss) : 0;

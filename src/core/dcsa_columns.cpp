@@ -1,9 +1,19 @@
 #include "core/dcsa_columns.hpp"
 
+#include <utility>
+
 namespace gcs::core {
 
-DcsaColumns::DcsaColumns(const SyncParams& params, std::size_t n)
-    : bfunc_(params), kappa_((1.0 - params.rho) / (1.0 + params.rho)) {
+// A rule that never jumps or never caps has no use for weights, so only
+// a jumping, blocking rule with a weight function runs weighted.
+DcsaColumns::DcsaColumns(const SyncParams& params, std::size_t n,
+                         DcsaRule rule)
+    : rule_(std::move(rule)),
+      mode_(!rule_.jump    ? Mode::kNoJump
+            : !rule_.block ? Mode::kNoBlock
+            : rule_.weight ? Mode::kWeighted
+                           : Mode::kPlain),
+      kappa_((1.0 - params.rho) / (1.0 + params.rho)) {
   offset_.assign(n, 0.0);
   fast_.assign(n, 0);
   head_.assign(n, 0);
@@ -38,12 +48,14 @@ void DcsaColumns::reserve_slot(NodeId u) {
   slot_has_est_.resize(new_head + new_cap);
   slot_value_.resize(new_head + new_cap);
   slot_hw_recv_.resize(new_head + new_cap);
+  if (weighted()) slot_weight_.resize(new_head + new_cap);
   for (std::uint32_t i = 0; i < old_count; ++i) {
     slot_peer_[new_head + i] = slot_peer_[old_head + i];
     slot_hw_up_[new_head + i] = slot_hw_up_[old_head + i];
     slot_has_est_[new_head + i] = slot_has_est_[old_head + i];
     slot_value_[new_head + i] = slot_value_[old_head + i];
     slot_hw_recv_[new_head + i] = slot_hw_recv_[old_head + i];
+    if (weighted()) slot_weight_[new_head + i] = slot_weight_[old_head + i];
   }
   hole_slots_ += cap_[u];
   head_[u] = new_head;
@@ -71,6 +83,7 @@ void DcsaColumns::maybe_compact() {
   std::vector<std::uint8_t> has_est(packed);
   std::vector<double> value(packed);
   std::vector<double> hw_recv(packed);
+  std::vector<double> weight(weighted() ? packed : 0);
   std::uint32_t next = 0;
   for (std::size_t u = 0; u < cap_.size(); ++u) {
     const std::uint32_t old_head = head_[u];
@@ -80,6 +93,7 @@ void DcsaColumns::maybe_compact() {
       has_est[next + i] = slot_has_est_[old_head + i];
       value[next + i] = slot_value_[old_head + i];
       hw_recv[next + i] = slot_hw_recv_[old_head + i];
+      if (weighted()) weight[next + i] = slot_weight_[old_head + i];
     }
     head_[u] = next;
     next += cap_[u];
@@ -89,6 +103,7 @@ void DcsaColumns::maybe_compact() {
   slot_has_est_ = std::move(has_est);
   slot_value_ = std::move(value);
   slot_hw_recv_ = std::move(hw_recv);
+  slot_weight_ = std::move(weight);
   hole_slots_ = 0;
 }
 
@@ -102,11 +117,12 @@ void DcsaColumns::edge_up(const NodeContext& ctx, NodeId peer) {
     ++live_slots_;
     slot_peer_[s] = peer;
   }
-  // Fresh edge state, exactly like DcsaNode's peers_[peer] = {hw, ...}.
+  // Fresh edge state, exactly like the oracle's peers_[peer] = {hw, ...}.
   slot_hw_up_[s] = ctx.hw_now;
   slot_has_est_[s] = 0;
   slot_value_[s] = 0.0;
   slot_hw_recv_[s] = 0.0;
+  if (weighted()) slot_weight_[s] = rule_.weight(u, peer);
 }
 
 void DcsaColumns::edge_down(const NodeContext& ctx, NodeId peer) {
@@ -121,27 +137,14 @@ void DcsaColumns::edge_down(const NodeContext& ctx, NodeId peer) {
     slot_has_est_[s] = slot_has_est_[last];
     slot_value_[s] = slot_value_[last];
     slot_hw_recv_[s] = slot_hw_recv_[last];
+    if (weighted()) slot_weight_[s] = slot_weight_[last];
   }
   --count_[u];
   --live_slots_;
 }
 
-double DcsaColumns::apply_delivery(const StoreDelivery& d) {
-  const NodeId u = d.to;
-  const double hw_now = d.hw_now;
-  // --- on_message: keep the strongest lower bound (DcsaNode verbatim).
-  const std::uint32_t s = find_slot(u, d.from);
-  if (s != kNpos) {
-    if (!(slot_has_est_[s] && estimate_low(s, hw_now) >= d.value)) {
-      slot_value_[s] = d.value;
-      slot_hw_recv_[s] = hw_now;
-      slot_has_est_[s] = 1;
-    }
-  }
-  // --- step: jump rule over the segment.  Same per-slot arithmetic and
-  // the same compare-and-select forms as DcsaNode::step; the folds are
-  // order-independent, so segment order vs. map order cannot matter.
-  const double logical = hw_now + offset_[u];
+double DcsaColumns::unconstrained_target(NodeId u, double hw_now,
+                                         double logical) const {
   const std::uint32_t head = head_[u];
   const std::uint32_t end = head + count_[u];
   double target = logical;
@@ -150,27 +153,83 @@ double DcsaColumns::apply_delivery(const StoreDelivery& d) {
     const double est = estimate_low(i, hw_now);
     target = target > est ? target : est;
   }
-  fast_[u] = target > logical ? 1 : 0;
-  double cap = target;
-  for (std::uint32_t i = head; i < end; ++i) {
-    if (!slot_has_est_[i]) continue;  // covered by B(0) > G(n)
-    const double allowed =
-        estimate_low(i, hw_now) + bfunc_(hw_now - slot_hw_up_[i]);
-    cap = cap < allowed ? cap : allowed;
+  return target;
+}
+
+bool DcsaColumns::is_blocked_by(NodeId u, NodeId peer, double hw_now) const {
+  const std::uint32_t s = find_slot(u, peer);
+  if (s == kNpos || !slot_has_est_[s]) return false;
+  const double target =
+      unconstrained_target(u, hw_now, logical_clock(u, hw_now));
+  const double allowed = weighted() ? tolerance<true>(s, hw_now)
+                                    : tolerance<false>(s, hw_now);
+  return estimate_low(s, hw_now) + allowed < target;
+}
+
+template <DcsaColumns::Mode M>
+double DcsaColumns::apply_delivery(const StoreDelivery& d) {
+  const NodeId u = d.to;
+  const double hw_now = d.hw_now;
+  // --- on_message: keep the strongest lower bound (the oracle verbatim).
+  const std::uint32_t s = find_slot(u, d.from);
+  if (s != kNpos) {
+    if (!(slot_has_est_[s] && estimate_low(s, hw_now) >= d.value)) {
+      slot_value_[s] = d.value;
+      slot_hw_recv_[s] = hw_now;
+      slot_has_est_[s] = 1;
+    }
   }
-  if (cap > logical) {
-    offset_[u] += cap - logical;
-    return cap - logical;
+  // --- step: the jump rule over the segment.  Same per-slot arithmetic
+  // and the same compare-and-select forms as the oracle's step(); the
+  // folds are order-independent, so segment order vs. map order cannot
+  // matter.
+  if constexpr (M == Mode::kNoJump) {
+    fast_[u] = 0;
+    return 0.0;
+  } else {
+    const double logical = hw_now + offset_[u];
+    const double target = unconstrained_target(u, hw_now, logical);
+    fast_[u] = target > logical ? 1 : 0;
+    double cap = target;
+    if constexpr (M != Mode::kNoBlock) {
+      const std::uint32_t head = head_[u];
+      const std::uint32_t end = head + count_[u];
+      for (std::uint32_t i = head; i < end; ++i) {
+        if (!slot_has_est_[i]) continue;  // covered by B(0) > G(n)
+        const double allowed = estimate_low(i, hw_now) +
+                               tolerance<M == Mode::kWeighted>(i, hw_now);
+        cap = cap < allowed ? cap : allowed;
+      }
+    }
+    if (cap > logical) {
+      offset_[u] += cap - logical;
+      return cap - logical;
+    }
+    return 0.0;
   }
-  return 0.0;
+}
+
+template <DcsaColumns::Mode M>
+void DcsaColumns::apply_batch(const StoreDelivery* batch, std::size_t count,
+                              DeliverySink& sink) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const StoreDelivery& d = batch[i];
+    sink.before(d);
+    sink.after(d, apply_delivery<M>(d));
+  }
 }
 
 void DcsaColumns::on_deliveries(const StoreDelivery* batch, std::size_t count,
                                 DeliverySink& sink) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const StoreDelivery& d = batch[i];
-    sink.before(d);
-    sink.after(d, apply_delivery(d));
+  switch (mode_) {
+    case Mode::kPlain:
+      return apply_batch<Mode::kPlain>(batch, count, sink);
+    case Mode::kWeighted:
+      return apply_batch<Mode::kWeighted>(batch, count, sink);
+    case Mode::kNoBlock:
+      return apply_batch<Mode::kNoBlock>(batch, count, sink);
+    case Mode::kNoJump:
+      return apply_batch<Mode::kNoJump>(batch, count, sink);
   }
 }
 
@@ -185,7 +244,7 @@ std::size_t DcsaColumns::arena_bytes() const {
   const std::size_t per_node =
       sizeof(double) + sizeof(std::uint8_t) + 3 * sizeof(std::uint32_t);
   const std::size_t per_slot = sizeof(NodeId) + sizeof(std::uint8_t) +
-                               3 * sizeof(double);
+                               (weighted() ? 4 : 3) * sizeof(double);
   return offset_.size() * per_node + slot_peer_.size() * per_slot;
 }
 

@@ -105,13 +105,14 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
                                      std::vector<clk::RateSchedule> schedules,
                                      SimOptions options)
     : NetworkSimulation(params, std::move(graph), std::move(link),
-                        std::move(schedules), NodeFactory{}, options) {}
+                        std::move(schedules), nullptr, options) {}
 
 NetworkSimulation::NetworkSimulation(const SyncParams& params,
                                      net::DynamicGraph graph,
                                      net::LinkModel link,
                                      std::vector<clk::RateSchedule> schedules,
-                                     NodeFactory factory, SimOptions options)
+                                     std::unique_ptr<NodeStore> store,
+                                     SimOptions options)
     : params_(params),
       bfunc_(params),
       link_(std::move(link)),
@@ -132,19 +133,11 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
   }
   clocks_.reserve(n);
   for (auto& s : schedules) clocks_.emplace_back(std::move(s));
-  if (factory) {
-    std::vector<std::unique_ptr<NodeAutomaton>> nodes;
-    nodes.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      auto node = factory(static_cast<NodeId>(i));
-      if (!node) {
-        throw std::invalid_argument("NetworkSimulation: null automaton");
-      }
-      nodes.push_back(std::move(node));
-    }
-    store_ = std::make_unique<AutomatonStore>(std::move(nodes));
-  } else {
-    store_ = std::make_unique<DcsaColumns>(params_, n);
+  store_ = store ? std::move(store)
+                 : std::make_unique<DcsaColumns>(params_, n);
+  if (store_->size() != n) {
+    throw std::invalid_argument(
+        "NetworkSimulation: node store size disagrees with the graph");
   }
   for (std::size_t i = 0; i < n; ++i) {
     store_->start(NodeContext{static_cast<NodeId>(i),

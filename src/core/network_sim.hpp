@@ -1,13 +1,13 @@
 // gcs::core -- NetworkSimulation: the glue layer.
 //
-// Owns the event engine, one hardware clock and one NodeAutomaton per
-// node, the live edge set, and the link model (traffic pipeline +
-// propagation delay; see net/link.hpp), and turns a DynamicGraph
-// schedule into edge-up/edge-down callbacks, periodic per-node broadcasts
-// (every delta_h of HARDWARE time), background-flow emissions, and
-// message deliveries.  Everything observable (skew, clocks, stats) is
-// queryable from outside, which is what the harness and the benches
-// build on.
+// Owns the event engine, one hardware clock per node, the node store
+// holding every node's protocol state, the live edge set, and the link
+// model (traffic pipeline + propagation delay; see net/link.hpp), and
+// turns a DynamicGraph schedule into edge-up/edge-down callbacks,
+// periodic per-node broadcasts (every delta_h of HARDWARE time),
+// background-flow emissions, and message deliveries.  Everything
+// observable (skew, clocks, stats) is queryable from outside, which is
+// what the harness and the benches build on.
 //
 // Sharded lookahead under traffic: the conservative barrier window is
 // derived from the PROPAGATION floor alone (LinkModel::prop.floor).
@@ -31,14 +31,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "clk/clock.hpp"
 #include "core/bfunc.hpp"
-#include "core/node_automaton.hpp"
 #include "core/node_store.hpp"
 #include "core/params.hpp"
 #include "net/dynamic_graph.hpp"
@@ -112,11 +110,11 @@ struct RunStats {
   std::uint64_t connectivity_windows_checked = 0;
   std::uint64_t connectivity_windows_disconnected = 0;
   // Memory visibility (schema v5).  arena_bytes is the node store's flat
-  // state footprint (0 on the adapter store, whose state hides behind
-  // per-node heap objects); peak_rss_kb is the process high-water RSS,
-  // filled by the RUNNER after the cell completes (0 in the harness and
-  // under --fixed-timing -- it is machine state, not trajectory, and
-  // gcs_diff ignores both like wall_ms).
+  // state footprint (0 on a store whose state hides behind per-node heap
+  // objects, like the tests' oracle store); peak_rss_kb is the process
+  // high-water RSS, filled by the RUNNER after the cell completes (0 in
+  // the harness and under --fixed-timing -- it is machine state, not
+  // trajectory, and gcs_diff ignores both like wall_ms).
   std::uint64_t arena_bytes = 0;
   std::uint64_t peak_rss_kb = 0;
   // Link-layer traffic pipeline (schema v6).  Background load offered to
@@ -137,26 +135,24 @@ struct RunStats {
 
 class NetworkSimulation {
  public:
-  using NodeFactory =
-      std::function<std::unique_ptr<NodeAutomaton>(NodeId)>;
-
-  // Adapter-store constructor: one virtual NodeAutomaton per node from
-  // `factory` (custom protocol variants, weighted tolerances, benches).
-  // The LinkModel is implicitly constructible from a bare DelayModel
-  // (an ideal link with no traffic pipeline), so the pre-pipeline call
-  // sites read -- and behave -- exactly as before.
+  // Plain DCSA in core::DcsaColumns flat arenas.  The LinkModel is
+  // implicitly constructible from a bare DelayModel (an ideal link with
+  // no traffic pipeline), so the pre-pipeline call sites read -- and
+  // behave -- exactly as before.
   NetworkSimulation(const SyncParams& params, net::DynamicGraph graph,
                     net::LinkModel link,
                     std::vector<clk::RateSchedule> schedules,
-                    NodeFactory factory, SimOptions options = SimOptions{});
+                    SimOptions options = SimOptions{});
 
-  // Columns-store constructor: plain DCSA in core::DcsaColumns flat
-  // arenas -- the default for scale.  Trajectories are byte-identical
-  // to the adapter store running DcsaNode (the equivalence matrix
-  // enforces it); only RunStats::arena_bytes differs.
+  // Any node store, one slot per graph node: DcsaColumns under an
+  // ablation rule (the harness's variant axis), or a test's per-node
+  // oracle store (tests/oracle/automaton_store.hpp) run in lockstep with
+  // the columns.  A null store selects the plain DCSA columns, which is
+  // what the constructor above passes.
   NetworkSimulation(const SyncParams& params, net::DynamicGraph graph,
                     net::LinkModel link,
                     std::vector<clk::RateSchedule> schedules,
+                    std::unique_ptr<NodeStore> store,
                     SimOptions options = SimOptions{});
 
   NetworkSimulation(const NetworkSimulation&) = delete;
@@ -218,19 +214,6 @@ class NetworkSimulation {
   std::size_t size() const { return store_->size(); }
   // The node store driving this run (arena_bytes, live_slots, ...).
   const NodeStore& store() const { return *store_; }
-  // Per-node automaton access; only the adapter store has such objects,
-  // so this throws on the (default) columns store.  Tests and benches
-  // that poke protocol internals construct with a NodeFactory.
-  NodeAutomaton& node(NodeId u) {
-    NodeAutomaton* a = store_->automaton(u);
-    if (!a) {
-      throw std::logic_error(
-          "NetworkSimulation::node: the columns store has no per-node "
-          "automatons; construct with a NodeFactory for object access");
-    }
-    return *a;
-  }
-
  private:
   struct EdgeState {
     sim::Time up_time = 0.0;
@@ -379,8 +362,8 @@ class NetworkSimulation {
   std::vector<std::uint64_t> node_trace_seq_;
   std::uint64_t global_trace_seq_ = 0;
   std::vector<clk::HardwareClock> clocks_;
-  // All node state -- DcsaColumns flat arenas by default, or the
-  // AutomatonStore adapter when a NodeFactory was supplied.
+  // All node state -- DcsaColumns flat arenas unless a store was
+  // injected.
   std::unique_ptr<NodeStore> store_;
   std::vector<std::vector<NodeId>> adjacency_;
   // Live edges keyed by packed (u << 32 | v): O(1) lookups on the

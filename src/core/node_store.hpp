@@ -8,24 +8,34 @@
 // around each record so the simulator can emit traces, statistics, and
 // conformance checks at EXACTLY the points the per-node path emitted
 // them.  Trajectory bytes are the contract: a store must apply records
-// in batch order, and the per-record arithmetic must match DcsaNode's.
+// in batch order, and the per-record arithmetic must match the per-node
+// oracle's (tests/oracle/dcsa_node.hpp).
 //
-// Two implementations:
-//   * DcsaColumns (dcsa_columns.hpp) -- flat struct-of-arrays state for
-//     plain DCSA, the default and the reason this interface exists.
-//   * AutomatonStore (below) -- adapts a vector of virtual
-//     NodeAutomatons, so custom protocol variants (WeightedDcsaNode,
-//     bench_ablation's crippled tolerances) keep working unchanged.
+// The production implementation is DcsaColumns (dcsa_columns.hpp): flat
+// struct-of-arrays state running Algorithm 2 or one of its ablation
+// rules.  NetworkSimulation takes any store through its NodeStore
+// constructor, which is how tests and benches drive the per-node oracle
+// store in lockstep with the columns.
 #ifndef GCS_CORE_NODE_STORE_HPP
 #define GCS_CORE_NODE_STORE_HPP
 
 #include <cstddef>
-#include <memory>
-#include <vector>
 
-#include "core/node_automaton.hpp"
+#include "net/topology.hpp"
 
 namespace gcs::core {
+
+using NodeId = net::NodeId;
+
+// The unified callback argument: who is being driven, what its hardware
+// clock reads, and when (simulation time) the reading was taken.  Node
+// state never sees real time, exactly as in the paper's model: `now` is
+// for observability only, and a conforming store must not branch on it.
+struct NodeContext {
+  NodeId self = 0;
+  double hw_now = 0.0;  // the node's own hardware-clock reading
+  double now = 0.0;     // simulation time of the reading (diagnostic)
+};
 
 // One message record in a delivery batch.  The simulator resolves the
 // receiver's hardware clock before handing the batch over, so stores
@@ -78,42 +88,10 @@ class NodeStore {
   virtual double logical_clock(NodeId u, double hw_now) const = 0;
   virtual bool fast_mode(NodeId u) const = 0;
 
-  // Bytes of node/peer state held in the store's flat arenas (0 for the
-  // adapter, whose state hides behind per-node heap objects); surfaces
-  // in RunStats::arena_bytes so memory regressions are diffable.
+  // Bytes of node/peer state held in the store's flat arenas (0 for a
+  // store whose state hides behind per-node heap objects); surfaces in
+  // RunStats::arena_bytes so memory regressions are diffable.
   virtual std::size_t arena_bytes() const = 0;
-
-  // The per-node automaton behind slot u, or nullptr when the store has
-  // no such object (DcsaColumns).  Tests and benches that poke protocol
-  // internals (is_blocked_by) go through here.
-  virtual NodeAutomaton* automaton(NodeId u) {
-    (void)u;
-    return nullptr;
-  }
-};
-
-// Adapter: a vector of virtual NodeAutomatons behind the store
-// interface.  Call order replicates the old per-node path exactly --
-// the equivalence matrix holds DcsaColumns to this store's bytes.
-class AutomatonStore : public NodeStore {
- public:
-  explicit AutomatonStore(std::vector<std::unique_ptr<NodeAutomaton>> nodes);
-
-  std::size_t size() const override { return nodes_.size(); }
-  void start(const NodeContext& ctx) override;
-  void edge_up(const NodeContext& ctx, NodeId peer) override;
-  void edge_down(const NodeContext& ctx, NodeId peer) override;
-  void on_deliveries(const StoreDelivery* batch, std::size_t count,
-                     DeliverySink& sink) override;
-  void advance(const double* hw_now, double* logical,
-               std::size_t count) const override;
-  double logical_clock(NodeId u, double hw_now) const override;
-  bool fast_mode(NodeId u) const override;
-  std::size_t arena_bytes() const override { return 0; }
-  NodeAutomaton* automaton(NodeId u) override { return nodes_[u].get(); }
-
- private:
-  std::vector<std::unique_ptr<NodeAutomaton>> nodes_;
 };
 
 }  // namespace gcs::core

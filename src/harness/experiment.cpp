@@ -1,21 +1,41 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "core/ablation_variants.hpp"
-#include "core/dcsa_node.hpp"
-#include "core/weighted_dcsa_node.hpp"
+#include "core/dcsa_columns.hpp"
 #include "net/link.hpp"
 #include "net/topology.hpp"
 
 namespace gcs::harness {
 
 namespace {
+
+// The numeric field `text` of a delay or variant spec: the whole string
+// must be one finite number ("0.25x" and "" are refused, not truncated).
+// `what` leads the error message.
+double spec_number(const std::string& text, const std::string& what,
+                   const std::string& spec) {
+  double value = 0.0;
+  std::size_t used = 0;
+  try {
+    if (!text.empty() && !std::isspace(static_cast<unsigned char>(text[0]))) {
+      value = std::stod(text, &used);
+    }
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != text.size() || !std::isfinite(value)) {
+    throw std::invalid_argument(what + " '" + spec +
+                                "' has a malformed number '" + text + "'");
+  }
+  return value;
+}
 
 net::Scenario build_scenario(const ExperimentConfig& cfg) {
   if (cfg.scenario) return *cfg.scenario;
@@ -70,25 +90,28 @@ net::DelayModel build_delay(const ExperimentConfig& cfg) {
     if (cfg.delay.size() > kUniform.size()) {
       const std::string rest = cfg.delay.substr(kUniform.size() + 1);
       const std::size_t colon = rest.find(':');
-      lo = std::stod(rest.substr(0, colon));
-      if (colon != std::string::npos) hi = std::stod(rest.substr(colon + 1));
+      lo = spec_number(rest.substr(0, colon), "delay", cfg.delay);
+      if (colon != std::string::npos) {
+        hi = spec_number(rest.substr(colon + 1), "delay", cfg.delay);
+      }
     }
     if (lo < 0.0) {
-      throw std::invalid_argument("run_experiment: uniform delay lo < 0");
+      throw std::invalid_argument("uniform delay lo < 0");
     }
     return net::make_uniform_delay(T, lo, hi);
   }
   const std::string kConstant = "constant";
-  if (cfg.delay.rfind(kConstant, 0) == 0) {
+  if (cfg.delay.rfind(kConstant, 0) == 0 &&
+      (cfg.delay.size() == kConstant.size() ||
+       cfg.delay[kConstant.size()] == ':')) {
     double value = T;
-    if (cfg.delay.size() > kConstant.size() &&
-        cfg.delay[kConstant.size()] == ':') {
-      value = std::stod(cfg.delay.substr(kConstant.size() + 1));
+    if (cfg.delay.size() > kConstant.size()) {
+      value = spec_number(cfg.delay.substr(kConstant.size() + 1), "delay",
+                          cfg.delay);
     }
     return net::make_constant_delay(T, value);
   }
-  throw std::invalid_argument("run_experiment: unknown delay '" + cfg.delay +
-                              "'");
+  throw std::invalid_argument("unknown delay '" + cfg.delay + "'");
 }
 
 net::LinkModel build_link(const ExperimentConfig& cfg) {
@@ -113,50 +136,42 @@ bool parse_delivery(const std::string& delivery) {
                               "'");
 }
 
-// The per-node automaton factory for the ablation axis.  Only called for
-// the adapter store; "dcsa" is also what the columns arenas implement.
-core::NetworkSimulation::NodeFactory build_node_factory(
-    const ExperimentConfig& cfg) {
-  const core::SyncParams& p = cfg.params;
-  if (cfg.variant == "dcsa") {
-    return [p](core::NodeId) { return std::make_unique<core::DcsaNode>(p); };
-  }
+}  // namespace
+
+core::DcsaRule variant_rule(const std::string& variant,
+                            const core::SyncParams& params) {
+  core::DcsaRule rule(params);
+  if (variant == "dcsa") return rule;
   const std::string kWeighted = "weighted";
-  if (cfg.variant.rfind(kWeighted, 0) == 0 &&
-      (cfg.variant.size() == kWeighted.size() ||
-       cfg.variant[kWeighted.size()] == ':')) {
+  if (variant.rfind(kWeighted, 0) == 0 &&
+      (variant.size() == kWeighted.size() ||
+       variant[kWeighted.size()] == ':')) {
     // "weighted" = uniform weight 0.5; "weighted:w" pins it.  The weight
-    // must be a usable tolerance scale in (0, 1]; WeightedDcsaNode's
-    // min_weight safety clamp is set below any admissible w so the
-    // configured value is what actually runs.
+    // must be a usable tolerance scale in (0, 1].
     double w = 0.5;
-    if (cfg.variant.size() > kWeighted.size()) {
-      w = std::stod(cfg.variant.substr(kWeighted.size() + 1));
+    if (variant.size() > kWeighted.size()) {
+      w = spec_number(variant.substr(kWeighted.size() + 1),
+                      "run_experiment: variant", variant);
     }
     if (!(w > 0.0) || w > 1.0) {
       throw std::invalid_argument(
           "run_experiment: weighted variant wants a weight in (0, 1], got '" +
-          cfg.variant + "'");
+          variant + "'");
     }
-    return [p, w](core::NodeId) {
-      return std::make_unique<core::WeightedDcsaNode>(
-          p, [w](core::NodeId, core::NodeId) { return w; },
-          /*min_weight=*/w);
-    };
+    rule.weight = [w](core::NodeId, core::NodeId) { return w; };
+    return rule;
   }
-  if (cfg.variant == "noblock") {
-    return
-        [p](core::NodeId) { return std::make_unique<core::NoBlockDcsaNode>(p); };
+  if (variant == "noblock") {
+    rule.block = false;
+    return rule;
   }
-  if (cfg.variant == "nojump") {
-    return
-        [p](core::NodeId) { return std::make_unique<core::NoJumpDcsaNode>(p); };
+  if (variant == "nojump") {
+    rule.jump = false;
+    return rule;
   }
-  throw std::invalid_argument("run_experiment: unknown variant '" +
-                              cfg.variant + "'");
+  throw std::invalid_argument("run_experiment: unknown variant '" + variant +
+                              "'");
 }
-
-}  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg,
                                 obs::Recorder* recorder) {
@@ -178,30 +193,16 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   options.batched_delivery = parse_delivery(cfg.delivery);
   options.recorder = recorder;
   options.shards = static_cast<std::size_t>(cfg.shards);
-  // "columns" drives DcsaColumns directly; "adapter" runs the identical
-  // protocol through per-node DcsaNode objects (the reference path the
-  // store-equivalence matrix byte-compares against).
-  std::unique_ptr<core::NetworkSimulation> sim_ptr;
-  if (cfg.store == "columns") {
-    // The flat arenas implement plain DCSA only; a non-default variant
-    // must not silently run the wrong protocol at scale.
-    if (cfg.variant != "dcsa") {
-      throw std::invalid_argument(
-          "run_experiment: variant '" + cfg.variant +
-          "' needs store=\"adapter\" (the columns store runs plain DCSA)");
-    }
-    sim_ptr = std::make_unique<core::NetworkSimulation>(
-        p, scenario.to_dynamic_graph(), build_link(cfg), build_schedules(cfg),
-        options);
-  } else if (cfg.store == "adapter") {
-    sim_ptr = std::make_unique<core::NetworkSimulation>(
-        p, scenario.to_dynamic_graph(), build_link(cfg), build_schedules(cfg),
-        build_node_factory(cfg), options);
-  } else {
-    throw std::invalid_argument("run_experiment: unknown store '" + cfg.store +
-                                "' (expected \"columns\" or \"adapter\")");
+  if (cfg.store != "columns") {
+    throw std::invalid_argument(
+        "run_experiment: unknown store '" + cfg.store +
+        "' (only \"columns\" remains; the per-node automatons live on as a "
+        "test oracle in tests/oracle/)");
   }
-  core::NetworkSimulation& sim = *sim_ptr;
+  core::NetworkSimulation sim(
+      p, scenario.to_dynamic_graph(), build_link(cfg), build_schedules(cfg),
+      std::make_unique<core::DcsaColumns>(p, p.n, variant_rule(cfg.variant, p)),
+      options);
 
   ExperimentResult result;
   result.name = cfg.name;

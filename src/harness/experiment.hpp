@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 
+#include "core/dcsa_columns.hpp"
 #include "core/network_sim.hpp"
 #include "core/params.hpp"
 #include "net/scenario.hpp"
@@ -62,11 +63,9 @@ struct ExperimentConfig {
   // >= 1 produces the same bytes (the determinism matrix proves it), so
   // this is purely a wall-clock knob within the sharded universe.
   std::uint64_t shards = 0;
-  // Node-state layout: "columns" (core::DcsaColumns struct-of-arrays,
-  // the scale default) or "adapter" (per-node DcsaNode objects behind
-  // AutomatonStore, the object-path reference).  Trajectories are
-  // byte-identical between the two (the store-equivalence matrix proves
-  // it); only run_stats.arena_bytes differs, which gcs_diff ignores.
+  // Node-state layout.  Only "columns" (core::DcsaColumns
+  // struct-of-arrays) runs; the key stays so existing config echoes and
+  // campaigns keep parsing, and anything else is refused.
   std::string store = "columns";
   // Link-layer traffic model: "off" (ideal link, the legacy path) or a
   // net::parse_traffic spec -- "idle[:bw=...[:queue=...][:mark=...]]",
@@ -76,17 +75,14 @@ struct ExperimentConfig {
   // finite-bandwidth models queue sync messages behind background load
   // and light up the schema-v6 traffic counters.
   std::string traffic = "off";
-  // Protocol variant under test (the ablation axis):
+  // Protocol variant under test (the ablation axis), run as a
+  // core::DcsaRule on the columns store (see variant_rule):
   //   "dcsa"         -- Algorithm 2 as published (the default);
-  //   "weighted[:w]" -- core::WeightedDcsaNode with every edge at uniform
-  //                     tolerance weight w in (0, 1] (default 0.5): matured
-  //                     edges are held to w * b0 instead of b0;
+  //   "weighted[:w]" -- every edge at uniform tolerance weight w in
+  //                     (0, 1] (default 0.5): matured edges are held to
+  //                     w * b0 instead of b0;
   //   "noblock"      -- catch-up without the blocking cap;
   //   "nojump"       -- free-running clocks (no catch-up at all).
-  // Every non-default variant runs per-node automatons, so it requires
-  // store == "adapter" (the columns arenas implement plain DCSA only);
-  // run_experiment throws otherwise instead of silently running the
-  // wrong protocol.
   std::string variant = "dcsa";
 
   // Samples fire at sample_dt, 2*sample_dt, ...; the engine executes
@@ -133,6 +129,11 @@ struct ExperimentResult {
   // bytes do not depend on whether --series was requested.
   obs::SeriesSummary series;
 };
+
+// The DcsaColumns rule for a `variant` spec (see ExperimentConfig);
+// throws std::invalid_argument on an unknown or malformed spec.
+core::DcsaRule variant_rule(const std::string& variant,
+                            const core::SyncParams& params);
 
 // Runs the experiment.  `recorder`, when non-null, passively observes
 // the run: it receives one obs::SeriesSample per sample_dt tick and

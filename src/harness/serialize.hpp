@@ -37,7 +37,8 @@ namespace gcs::harness {
 //   4 -- config echo gains "shards" (in-cell shard count for the
 //        conservative-parallel engine); engine_stats gains
 //        shard_windows / shard_staged_events.
-//   5 -- config echo gains "store" (node-state layout: columns/adapter);
+//   5 -- config echo gains "store" (node-state layout; "columns" is the
+//        only value that runs now, "adapter" trees still read);
 //        run_stats gains the memory-visibility pair arena_bytes (node
 //        store flat-state footprint) / peak_rss_kb (process high-water
 //        RSS, runner-filled, 0 under --fixed-timing).  gcs_diff ignores

@@ -3,8 +3,8 @@
 // The conclusion of the paper sketches a weighted-graph extension: links
 // with tighter delay bounds can sustain proportionally tighter skew
 // tolerances.  LinkQualityMap records per-edge delay bounds against a
-// default (the global T) and exposes them as weights in (0, 1] that
-// WeightedDcsaNode plugs into its tolerance policy.
+// default (the global T) and exposes them as weights in (0, 1] that a
+// weighted core::DcsaRule plugs into its tolerance policy.
 #ifndef GCS_NET_LINK_QUALITY_HPP
 #define GCS_NET_LINK_QUALITY_HPP
 

@@ -503,7 +503,10 @@ std::size_t enforce_interval_connectivity(Scenario& scenario, double window,
     // remaining collision is a base bring-up at exactly the teardown
     // instant `end`: appended events sort after base events at equal
     // times, so the teardown would cancel that bring-up.  Such edges are
-    // skipped as candidates.
+    // skipped as candidates -- unless every candidate is one, in which
+    // case the first is taken WITHOUT its teardown: the base bring-up at
+    // `end` then lands on a live edge (a redundant add, a no-op), and the
+    // edge simply stays up from `start` on, with no gap.
     const std::set<Edge> blocked = sweep.adds_at(end);
 
     const std::vector<std::size_t> label = component_labels(n, window_union);
@@ -523,8 +526,8 @@ std::size_t enforce_interval_connectivity(Scenario& scenario, double window,
     if (comps.size() <= 1) continue;
 
     // Chain adjacent components with one connector each; endpoints rotate
-    // with the window index so no edge is pinned up forever, skipping any
-    // candidate that collides with a base edge.
+    // with the window index so no edge is pinned up forever, preferring a
+    // candidate that does not collide with a base bring-up.
     for (std::size_t c = 0; c + 1 < comps.size(); ++c) {
       const std::vector<NodeId>& a = comps[c];
       const std::vector<NodeId>& b = comps[c + 1];
@@ -541,9 +544,8 @@ std::size_t enforce_interval_connectivity(Scenario& scenario, double window,
         }
       }
       if (!found) {
-        throw std::runtime_error(
-            "enforce_interval_connectivity: no collision-free connector edge "
-            "exists between two components");
+        const Edge e(a[k % a.size()], b[k % b.size()]);
+        added.push_back(TopologyEvent{start, e, true});
       }
     }
     ++patched;

@@ -140,10 +140,10 @@ Scenario make_group_scenario(std::size_t n, std::size_t groups, double radius,
 // union, so it can never duplicate an edge that is live inside the
 // window; the one possible collision -- a base bring-up of the same edge
 // at exactly the connector's teardown instant, which the teardown would
-// cancel -- is excluded when candidates are chosen, and if no
-// collision-free pair exists between two components the function throws
-// instead of silently weakening the guarantee.  Returns the number of
-// windows patched.
+// cancel -- is avoided when candidates are chosen.  If every pair between
+// two components collides, the first pair is added without a teardown,
+// so the base bring-up is a redundant add and the edge stays up with no
+// gap.  Returns the number of windows patched.
 //
 // audit_interval_connectivity() (net/dynamic_graph.hpp) checks the same
 // window/union definition, so an enforced scenario always audits clean.

@@ -1,4 +1,4 @@
-// gcs::core -- the ablation variants of Algorithm 2: DcsaNode with one of
+// gcs::oracle -- the ablation variants of Algorithm 2: DcsaNode with one of
 // its two rules surgically removed, so the skew-vs-message-cost frontier
 // can attribute what each rule buys.
 //
@@ -20,13 +20,15 @@
 // aged normally), so their message cost is identical to plain DCSA --
 // the broadcast schedule is delta_h-driven, not rule-driven.  The
 // weighted tolerance extension lives in weighted_dcsa_node.hpp; together
-// the three are the "variant" axis of campaigns/ablation_frontier.json.
-#ifndef GCS_CORE_ABLATION_VARIANTS_HPP
-#define GCS_CORE_ABLATION_VARIANTS_HPP
+// the three are the per-node oracles for core::DcsaRule's block, jump
+// and weight switches (the "variant" axis of
+// campaigns/ablation_frontier.json).
+#ifndef GCS_ORACLE_ABLATION_VARIANTS_HPP
+#define GCS_ORACLE_ABLATION_VARIANTS_HPP
 
-#include "core/dcsa_node.hpp"
+#include "oracle/dcsa_node.hpp"
 
-namespace gcs::core {
+namespace gcs::oracle {
 
 class NoBlockDcsaNode : public DcsaNode {
  public:
@@ -56,6 +58,6 @@ class NoJumpDcsaNode : public DcsaNode {
   }
 };
 
-}  // namespace gcs::core
+}  // namespace gcs::oracle
 
-#endif  // GCS_CORE_ABLATION_VARIANTS_HPP
+#endif  // GCS_ORACLE_ABLATION_VARIANTS_HPP

@@ -1,5 +1,9 @@
-// gcs::core -- Algorithm 2 of Kuhn-Locher-Oshman (SPAA'09): the dynamic
-// clock synchronization automaton (DCSA).
+// gcs::oracle -- Algorithm 2 of Kuhn-Locher-Oshman (SPAA'09): the dynamic
+// clock synchronization automaton (DCSA), one object per node.
+//
+// This is the readable reference form of the rules core::DcsaColumns
+// implements in flat arenas; tests and benches run it through
+// AutomatonStore in lockstep with the columns, bit for bit.
 //
 // Each node keeps a logical clock L that advances at its hardware rate
 // (slow mode) and may additionally JUMP forward (the discrete realization
@@ -24,16 +28,19 @@
 //     exactly this property.
 //
 // Clocks never run backwards: the jump delta is always >= 0.
-#ifndef GCS_CORE_DCSA_NODE_HPP
-#define GCS_CORE_DCSA_NODE_HPP
+#ifndef GCS_ORACLE_DCSA_NODE_HPP
+#define GCS_ORACLE_DCSA_NODE_HPP
 
 #include <map>
 
 #include "core/bfunc.hpp"
-#include "core/node_automaton.hpp"
 #include "core/params.hpp"
+#include "oracle/node_automaton.hpp"
 
-namespace gcs::core {
+namespace gcs::oracle {
+
+using core::BFunction;
+using core::SyncParams;
 
 class DcsaNode : public NodeAutomaton {
  public:
@@ -153,6 +160,6 @@ class DcsaNode : public NodeAutomaton {
   std::map<NodeId, PeerState> peers_;  // ordered: deterministic iteration
 };
 
-}  // namespace gcs::core
+}  // namespace gcs::oracle
 
-#endif  // GCS_CORE_DCSA_NODE_HPP
+#endif  // GCS_ORACLE_DCSA_NODE_HPP

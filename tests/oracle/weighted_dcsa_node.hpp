@@ -1,4 +1,4 @@
-// gcs::core -- the weighted-tolerance extension from the paper's
+// gcs::oracle -- the weighted-tolerance extension from the paper's
 // conclusion: on a weighted graph, links with better delay bounds can be
 // held to proportionally tighter skew tolerances.
 //
@@ -9,16 +9,16 @@
 // a post-reconnection adjustment wave a node may overshoot a neighbour by
 // at most its edge tolerance (Lemma 6.6), so precision links stay tighter
 // through transients, which is exactly what bench_ablation measures.
-#ifndef GCS_CORE_WEIGHTED_DCSA_NODE_HPP
-#define GCS_CORE_WEIGHTED_DCSA_NODE_HPP
+#ifndef GCS_ORACLE_WEIGHTED_DCSA_NODE_HPP
+#define GCS_ORACLE_WEIGHTED_DCSA_NODE_HPP
 
 #include <algorithm>
 #include <functional>
 #include <utility>
 
-#include "core/dcsa_node.hpp"
+#include "oracle/dcsa_node.hpp"
 
-namespace gcs::core {
+namespace gcs::oracle {
 
 class WeightedDcsaNode : public DcsaNode {
  public:
@@ -51,6 +51,6 @@ class WeightedDcsaNode : public DcsaNode {
   double min_weight_;
 };
 
-}  // namespace gcs::core
+}  // namespace gcs::oracle
 
-#endif  // GCS_CORE_WEIGHTED_DCSA_NODE_HPP
+#endif  // GCS_ORACLE_WEIGHTED_DCSA_NODE_HPP

@@ -84,8 +84,10 @@ TEST(Campaign, TrafficAxisSweepsAndValidatesSpecs) {
 
 TEST(Campaign, VariantAxisSweepsProtocols) {
   // The ablation axis (campaigns/ablation_frontier.json): every cell
-  // carries its protocol variant in config and label, and the defaults
-  // block can pin the adapter store the non-default variants require.
+  // carries its protocol variant in config and label, and a store pinned
+  // in the defaults block reaches every cell. Expansion does not validate
+  // store values (run_experiment does), so a non-default value shows that
+  // the pin is carried rather than defaulted.
   const cli::Campaign campaign = from_text(R"({
     "name": "abl",
     "defaults": {"n": 8, "store": "adapter"},

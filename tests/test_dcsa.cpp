@@ -1,14 +1,19 @@
-#include "core/dcsa_node.hpp"
+#include "oracle/dcsa_node.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/dcsa_columns.hpp"
 #include "core/network_sim.hpp"
-#include "core/weighted_dcsa_node.hpp"
 #include "net/delay.hpp"
 #include "net/scenario.hpp"
+#include "oracle/ablation_variants.hpp"
+#include "oracle/automaton_store.hpp"
+#include "oracle/weighted_dcsa_node.hpp"
 
 namespace {
 
@@ -30,7 +35,7 @@ gcs::core::NodeContext at(gcs::core::NodeId self, double hw_now) {
 
 TEST(DcsaNode, JumpsTowardLargerEstimateButNeverBackwards) {
   const auto p = small_params(2);
-  gcs::core::DcsaNode node(p);
+  gcs::oracle::DcsaNode node(p);
   node.start(at(0, 0.0));
   node.on_edge_up(at(0, 0.0), 1);
   EXPECT_DOUBLE_EQ(node.logical_clock(5.0), 5.0);
@@ -51,7 +56,7 @@ TEST(DcsaNode, CrippledToleranceBlocksJump) {
   auto p = small_params(3);
   // A tolerance with no G headroom: B(age) == b0 everywhere.
   const gcs::core::BFunction crippled(p.effective_b0(), 0.0, p.tau(), p.rho);
-  gcs::core::DcsaNode node(p, crippled);
+  gcs::oracle::DcsaNode node(p, crippled);
   node.start(at(0, 0.0));
   node.on_edge_up(at(0, 0.0), 1);  // the neighbour far ahead
   node.on_edge_up(at(0, 0.0), 2);  // the laggard holding us back
@@ -69,7 +74,7 @@ TEST(DcsaNode, CrippledToleranceBlocksJump) {
 
 TEST(DcsaNode, ProperToleranceDoesNotBlockFreshSkew) {
   auto p = small_params(3);
-  gcs::core::DcsaNode node(p);  // proper B: B(0) = b0 + G(n) > G(n)
+  gcs::oracle::DcsaNode node(p);  // proper B: B(0) = b0 + G(n) > G(n)
   node.start(at(0, 0.0));
   node.on_edge_up(at(0, 0.0), 1);
   node.on_edge_up(at(0, 0.0), 2);
@@ -87,7 +92,7 @@ TEST(WeightedDcsaNode, TightLinkTightensOnlyTheFloor) {
   auto weight = [](gcs::core::NodeId, gcs::core::NodeId peer) {
     return peer == 2 ? 0.5 : 1.0;
   };
-  gcs::core::WeightedDcsaNode node(p, weight, 0.5);
+  gcs::oracle::WeightedDcsaNode node(p, weight, 0.5);
   node.start(at(0, 0.0));
   node.on_edge_up(at(0, 0.0), 1);
   node.on_edge_up(at(0, 0.0), 2);
@@ -117,10 +122,7 @@ TEST(NetworkSimulation, TwoCampRingStaysInsideBounds) {
   gcs::core::NetworkSimulation sim(
       p,
       gcs::net::DynamicGraph(p.n, gcs::net::make_ring(p.n).edges(), {}),
-      gcs::net::make_constant_delay(p.T, p.T / 2.0), std::move(schedules),
-      [&p](gcs::core::NodeId) {
-        return std::make_unique<gcs::core::DcsaNode>(p);
-      });
+      gcs::net::make_constant_delay(p.T, p.T / 2.0), std::move(schedules));
   sim.run_until(60.0);
   EXPECT_GT(sim.stats().messages_delivered, 0u);
   EXPECT_GT(sim.stats().jumps, 0u);
@@ -145,47 +147,107 @@ struct JumpSink : gcs::core::DeliverySink {
   }
 };
 
-// The struct-of-arrays store must reproduce DcsaNode's arithmetic bit
-// for bit: same deliveries, same jumps, same logical clocks, same fast
-// flag -- including across edge churn that exercises slot reuse.
+// One DcsaColumns rule next to the per-node oracle automaton that
+// defines it.  Every rule runs on the proper B and on a crippled B with
+// no G headroom (the cap binds constantly, bench_ablation's regime).
+struct RuleCase {
+  std::string name;
+  gcs::core::DcsaRule rule;
+  std::function<std::unique_ptr<gcs::oracle::DcsaNode>()> oracle;
+};
+
+// A tight link to peer 2, default quality everywhere else.  0.3 is not
+// a power of two, so w * floor rounds and any reassociation of the
+// weighted tolerance shows up in the low bits.
+double link_weight(gcs::core::NodeId, gcs::core::NodeId peer) {
+  return peer == 2 ? 0.3 : 1.0;
+}
+
+std::vector<RuleCase> rule_cases(const gcs::core::SyncParams& p) {
+  using gcs::core::BFunction;
+  namespace oracle = gcs::oracle;
+  std::vector<RuleCase> cases;
+  const BFunction proper(p);
+  const BFunction crippled(p.effective_b0(), 0.0, p.tau(), p.rho);
+  for (const BFunction& b : {proper, crippled}) {
+    const std::string tag =
+        b.initial() == proper.initial() ? "" : "/crippled";
+    gcs::core::DcsaRule rule(p);
+    rule.tolerance = b;
+    cases.push_back({"dcsa" + tag, rule, [p, b] {
+                       return std::make_unique<oracle::DcsaNode>(p, b);
+                     }});
+    gcs::core::DcsaRule weighted = rule;
+    weighted.weight = link_weight;
+    cases.push_back({"weighted" + tag, weighted, [p, b] {
+                       return std::make_unique<oracle::WeightedDcsaNode>(
+                           p, b, link_weight);
+                     }});
+    gcs::core::DcsaRule noblock = rule;
+    noblock.block = false;
+    cases.push_back({"noblock" + tag, noblock, [p, b] {
+                       return std::make_unique<oracle::NoBlockDcsaNode>(p, b);
+                     }});
+    gcs::core::DcsaRule nojump = rule;
+    nojump.jump = false;
+    cases.push_back({"nojump" + tag, nojump, [p, b] {
+                       return std::make_unique<oracle::NoJumpDcsaNode>(p, b);
+                     }});
+  }
+  return cases;
+}
+
+// The struct-of-arrays store must reproduce the oracle's arithmetic bit
+// for bit under every rule: same deliveries, same jumps, same logical
+// clocks, same fast flag, same blocking verdicts -- including across
+// edge churn that exercises slot reuse.
 TEST(DcsaColumns, MirrorsDcsaNodeBitForBit) {
   const auto p = small_params(4);
-  gcs::core::DcsaNode node(p);
-  gcs::core::DcsaColumns cols(p, 4);
+  for (const RuleCase& rc : rule_cases(p)) {
+    SCOPED_TRACE(rc.name);
+    auto node = rc.oracle();
+    gcs::core::DcsaColumns cols(p, 4, rc.rule);
 
-  const gcs::core::NodeContext zero = at(0, 0.0);
-  node.start(zero);
-  for (gcs::core::NodeId u = 0; u < 4; ++u) cols.start(at(u, 0.0));
-  for (gcs::core::NodeId peer : {1u, 2u, 3u}) {
-    node.on_edge_up(zero, peer);
-    cols.edge_up(zero, peer);
-  }
+    const gcs::core::NodeContext zero = at(0, 0.0);
+    node->start(zero);
+    for (gcs::core::NodeId u = 0; u < 4; ++u) cols.start(at(u, 0.0));
+    for (gcs::core::NodeId peer : {1u, 2u, 3u}) {
+      node->on_edge_up(zero, peer);
+      cols.edge_up(zero, peer);
+    }
 
-  JumpSink sink;
-  std::vector<double> node_jumps;
-  const double values[] = {7.5, -3.25, 12.0, 11.875, 0.5, 40.0};
-  double hw = 0.5;
-  for (std::size_t k = 0; k < 6; ++k, hw += 0.625) {
-    const gcs::core::NodeId from = 1 + (k % 3);
-    gcs::core::StoreDelivery d;
-    d.from = from;
-    d.to = 0;
-    d.value = values[k];
-    d.hw_now = hw;
-    d.now = hw;
-    node.on_message(at(0, hw), from, values[k]);
-    node_jumps.push_back(node.step(at(0, hw)));
-    cols.on_deliveries(&d, 1, sink);
-    ASSERT_EQ(sink.jumps.size(), k + 1);
-    EXPECT_EQ(sink.jumps[k], node_jumps[k]) << "record " << k;
-    EXPECT_EQ(cols.logical_clock(0, hw), node.logical_clock(hw));
-    EXPECT_EQ(cols.fast_mode(0), node.fast_mode());
+    JumpSink sink;
+    std::vector<double> node_jumps;
+    const double values[] = {7.5, -3.25, 12.0, 11.875, 0.5, 40.0};
+    double hw = 0.5;
+    for (std::size_t k = 0; k < 6; ++k, hw += 0.625) {
+      const gcs::core::NodeId from = 1 + (k % 3);
+      gcs::core::StoreDelivery d;
+      d.from = from;
+      d.to = 0;
+      d.value = values[k];
+      d.hw_now = hw;
+      d.now = hw;
+      node->on_message(at(0, hw), from, values[k]);
+      node_jumps.push_back(node->step(at(0, hw)));
+      cols.on_deliveries(&d, 1, sink);
+      ASSERT_EQ(sink.jumps.size(), k + 1);
+      EXPECT_EQ(sink.jumps[k], node_jumps[k]) << "record " << k;
+      EXPECT_EQ(cols.logical_clock(0, hw), node->logical_clock(hw));
+      EXPECT_EQ(cols.fast_mode(0), node->fast_mode());
+      // Peer 4 is not a neighbour: never blocking, on either side.
+      for (gcs::core::NodeId peer : {1u, 2u, 3u, 4u}) {
+        EXPECT_EQ(cols.is_blocked_by(0, peer, hw),
+                  node->is_blocked_by(peer, hw))
+            << "record " << k << " peer " << peer;
+      }
 
-    if (k == 2) {  // churn an edge mid-stream: both must forget peer 2
-      node.on_edge_down(at(0, hw), 2);
-      cols.edge_down(at(0, hw), 2);
-      node.on_edge_up(at(0, hw), 2);
-      cols.edge_up(at(0, hw), 2);
+      if (k == 2) {  // churn an edge mid-stream: both must forget peer 2
+        node->on_edge_down(at(0, hw), 2);
+        cols.edge_down(at(0, hw), 2);
+        node->on_edge_up(at(0, hw), 2);
+        cols.edge_up(at(0, hw), 2);
+      }
     }
   }
 }
@@ -229,73 +291,78 @@ TEST(DcsaColumns, SlotArenaGrowsAndShrinks) {
 // cap-doubling relocation must ride along to the new region bit-exact,
 // swap-removes at the head/middle/tail of the segment must not corrupt
 // survivors, and reclaimed slots must come back clean -- all mirrored
-// delivery-for-delivery against the adapter-store automaton.
+// delivery-for-delivery against the oracle automaton, under every rule.
 TEST(DcsaColumns, AdversarialChurnKeepsRelocatedSegmentsBitExact) {
   const auto p = small_params(64);
-  gcs::core::DcsaNode node(p);
-  gcs::core::DcsaColumns cols(p, 64);
-  node.start(at(0, 0.0));
-  for (gcs::core::NodeId u = 0; u < 64; ++u) cols.start(at(u, 0.0));
+  for (const RuleCase& rc : rule_cases(p)) {
+    SCOPED_TRACE(rc.name);
+    auto node = rc.oracle();
+    gcs::core::DcsaColumns cols(p, 64, rc.rule);
+    node->start(at(0, 0.0));
+    for (gcs::core::NodeId u = 0; u < 64; ++u) cols.start(at(u, 0.0));
 
-  JumpSink sink;
-  double hw = 0.25;
-  auto deliver = [&](gcs::core::NodeId from, double value) {
-    gcs::core::StoreDelivery d;
-    d.from = from;
-    d.to = 0;
-    d.value = value;
-    d.hw_now = hw;
-    d.now = hw;
-    node.on_message(at(0, hw), from, value);
-    const double want = node.step(at(0, hw));
-    sink.jumps.clear();
-    cols.on_deliveries(&d, 1, sink);
-    ASSERT_EQ(sink.jumps.size(), 1u);
-    EXPECT_EQ(sink.jumps[0], want) << "from " << from << " at hw " << hw;
-    EXPECT_EQ(cols.logical_clock(0, hw), node.logical_clock(hw));
-    EXPECT_EQ(cols.fast_mode(0), node.fast_mode());
-    hw += 0.375;
-  };
-  auto up = [&](gcs::core::NodeId peer) {
-    node.on_edge_up(at(0, hw), peer);
-    cols.edge_up(at(0, hw), peer);
-  };
-  auto down = [&](gcs::core::NodeId peer) {
-    node.on_edge_down(at(0, hw), peer);
-    cols.edge_down(at(0, hw), peer);
-  };
+    JumpSink sink;
+    double hw = 0.25;
+    auto deliver = [&](gcs::core::NodeId from, double value) {
+      gcs::core::StoreDelivery d;
+      d.from = from;
+      d.to = 0;
+      d.value = value;
+      d.hw_now = hw;
+      d.now = hw;
+      node->on_message(at(0, hw), from, value);
+      const double want = node->step(at(0, hw));
+      sink.jumps.clear();
+      cols.on_deliveries(&d, 1, sink);
+      ASSERT_EQ(sink.jumps.size(), 1u);
+      EXPECT_EQ(sink.jumps[0], want) << "from " << from << " at hw " << hw;
+      EXPECT_EQ(cols.logical_clock(0, hw), node->logical_clock(hw));
+      EXPECT_EQ(cols.fast_mode(0), node->fast_mode());
+      EXPECT_EQ(cols.is_blocked_by(0, from, hw), node->is_blocked_by(from, hw))
+          << "from " << from << " at hw " << hw;
+      hw += 0.375;
+    };
+    auto up = [&](gcs::core::NodeId peer) {
+      node->on_edge_up(at(0, hw), peer);
+      cols.edge_up(at(0, hw), peer);
+    };
+    auto down = [&](gcs::core::NodeId peer) {
+      node->on_edge_down(at(0, hw), peer);
+      cols.edge_down(at(0, hw), peer);
+    };
 
-  // Grow through three relocations (cap 4 -> 8 -> 16 -> 32), delivering
-  // after every edge so each relocation carries live estimates.
-  for (gcs::core::NodeId peer = 1; peer <= 20; ++peer) {
-    up(peer);
-    deliver(peer, 3.0 * peer + 0.125);
-  }
-  EXPECT_EQ(cols.live_slots(), 20u);
+    // Grow through three relocations (cap 4 -> 8 -> 16 -> 32), delivering
+    // after every edge so each relocation carries live estimates.
+    for (gcs::core::NodeId peer = 1; peer <= 20; ++peer) {
+      up(peer);
+      deliver(peer, 3.0 * peer + 0.125);
+    }
+    EXPECT_EQ(cols.live_slots(), 20u);
 
-  // Swap-remove the segment's first, middle, and last slot, then hear
-  // from every survivor (a stale or mis-copied slot diverges instantly).
-  down(1);
-  down(10);
-  down(20);
-  EXPECT_EQ(cols.live_slots(), 17u);
-  for (gcs::core::NodeId peer = 2; peer <= 19; ++peer) {
-    if (peer == 10) continue;
-    deliver(peer, 100.0 + peer);
-  }
-  // A message from a removed peer updates nothing (but still steps).
-  deliver(1, 1e6);
+    // Swap-remove the segment's first, middle, and last slot, then hear
+    // from every survivor (a stale or mis-copied slot diverges instantly).
+    down(1);
+    down(10);
+    down(20);
+    EXPECT_EQ(cols.live_slots(), 17u);
+    for (gcs::core::NodeId peer = 2; peer <= 19; ++peer) {
+      if (peer == 10) continue;
+      deliver(peer, 100.0 + peer);
+    }
+    // A message from a removed peer updates nothing (but still steps).
+    deliver(1, 1e6);
 
-  // Reclaim the freed slots and push through one more relocation.
-  for (gcs::core::NodeId peer : {1u, 10u, 20u}) {
-    up(peer);
-    deliver(peer, 200.0 + peer);
+    // Reclaim the freed slots and push through one more relocation.
+    for (gcs::core::NodeId peer : {1u, 10u, 20u}) {
+      up(peer);
+      deliver(peer, 200.0 + peer);
+    }
+    for (gcs::core::NodeId peer = 21; peer <= 40; ++peer) {
+      up(peer);
+      deliver(peer, 50.0 + peer);
+    }
+    EXPECT_EQ(cols.live_slots(), 40u);
   }
-  for (gcs::core::NodeId peer = 21; peer <= 40; ++peer) {
-    up(peer);
-    deliver(peer, 50.0 + peer);
-  }
-  EXPECT_EQ(cols.live_slots(), 40u);
 }
 
 // The hole-threshold compaction must actually fire under churn -- the
@@ -303,78 +370,107 @@ TEST(DcsaColumns, AdversarialChurnKeepsRelocatedSegmentsBitExact) {
 // leaves c-4 holes against 2c-4 allocated slots per segment, strictly
 // under one half forever) -- and a fired compaction must preserve every
 // segment: estimates recorded before the rebuild still drive jumps
-// bit-identical to adapter-store automatons after it.
+// bit-identical to the oracle automatons after it.  The weighted case
+// gives every slot its own non-power-of-two weight on a crippled B, so
+// the cap binds and a weight column dropped or shifted by the rebuild
+// changes the jumps.
 TEST(DcsaColumns, HoleCompactionFiresAndPreservesSegments) {
+  namespace oracle = gcs::oracle;
   const std::size_t n = 600;
   const auto p = small_params(n);
-  gcs::core::DcsaColumns cols(p, n);
-  std::vector<gcs::core::DcsaNode> nodes(n, gcs::core::DcsaNode(p));
-  for (gcs::core::NodeId u = 0; u < n; ++u) {
-    nodes[u].start(at(u, 0.0));
-    cols.start(at(u, 0.0));
-  }
+  const gcs::core::BFunction crippled(p.effective_b0(), 0.0, p.tau(), p.rho);
+  const auto slot_weight = [n](gcs::core::NodeId self,
+                               gcs::core::NodeId peer) {
+    return 0.3 + 0.07 * static_cast<double>((peer + n - self) % n);
+  };
+  gcs::core::DcsaRule weighted(p);
+  weighted.tolerance = crippled;
+  weighted.weight = slot_weight;
+  for (const bool weigh : {false, true}) {
+    SCOPED_TRACE(weigh ? "weighted/crippled" : "dcsa");
+    gcs::core::DcsaColumns cols(p, n,
+                                weigh ? weighted : gcs::core::DcsaRule(p));
+    std::vector<std::unique_ptr<oracle::DcsaNode>> nodes;
+    for (gcs::core::NodeId u = 0; u < n; ++u) {
+      if (weigh) {
+        nodes.push_back(std::make_unique<oracle::WeightedDcsaNode>(
+            p, crippled, slot_weight));
+      } else {
+        nodes.push_back(std::make_unique<oracle::DcsaNode>(p));
+      }
+      nodes[u]->start(at(u, 0.0));
+      cols.start(at(u, 0.0));
+    }
 
-  // Degree 9 everywhere: two relocations per node (cap 4 -> 8 -> 16),
-  // 12 holes a node, so holes cross the 4096 absolute floor and a
-  // quarter of the arena a bit past node 340.  arena_bytes() shrinking
-  // across an edge_up is the compaction firing.
-  JumpSink sink;
-  std::size_t compactions = 0;
-  std::size_t prev_bytes = cols.arena_bytes();
-  for (gcs::core::NodeId u = 0; u < n; ++u) {
-    for (gcs::core::NodeId k = 1; k <= 9; ++k) {
-      const gcs::core::NodeId peer = (u + k) % n;
-      nodes[u].on_edge_up(at(u, 0.0), peer);
-      cols.edge_up(at(u, 0.0), peer);
-      if (cols.arena_bytes() < prev_bytes) ++compactions;
-      prev_bytes = cols.arena_bytes();
-      if (k == 5) {  // a mid-growth estimate the rebuild must carry
-        gcs::core::StoreDelivery d;
-        d.from = peer;
-        d.to = u;
-        d.value = 0.5 + 0.001 * u;
-        d.hw_now = 0.5;
-        d.now = 0.5;
-        nodes[u].on_message(at(u, 0.5), peer, d.value);
-        const double want = nodes[u].step(at(u, 0.5));
-        sink.jumps.clear();
-        cols.on_deliveries(&d, 1, sink);
-        ASSERT_EQ(sink.jumps.at(0), want) << "node " << u;
+    // Degree 9 everywhere: two relocations per node (cap 4 -> 8 -> 16),
+    // 12 holes a node, so holes cross the 4096 absolute floor and a
+    // quarter of the arena a bit past node 340.  arena_bytes() shrinking
+    // across an edge_up is the compaction firing.
+    JumpSink sink;
+    std::size_t compactions = 0;
+    std::size_t prev_bytes = cols.arena_bytes();
+    for (gcs::core::NodeId u = 0; u < n; ++u) {
+      for (gcs::core::NodeId k = 1; k <= 9; ++k) {
+        const gcs::core::NodeId peer = (u + k) % n;
+        nodes[u]->on_edge_up(at(u, 0.0), peer);
+        cols.edge_up(at(u, 0.0), peer);
+        if (cols.arena_bytes() < prev_bytes) ++compactions;
+        prev_bytes = cols.arena_bytes();
+        if (k == 5) {  // a mid-growth estimate the rebuild must carry
+          gcs::core::StoreDelivery d;
+          d.from = peer;
+          d.to = u;
+          d.value = 0.5 + 0.001 * u;
+          d.hw_now = 0.5;
+          d.now = 0.5;
+          nodes[u]->on_message(at(u, 0.5), peer, d.value);
+          const double want = nodes[u]->step(at(u, 0.5));
+          sink.jumps.clear();
+          cols.on_deliveries(&d, 1, sink);
+          ASSERT_EQ(sink.jumps.at(0), want) << "node " << u;
+        }
       }
     }
-  }
-  EXPECT_GE(compactions, 1u);
-  EXPECT_EQ(cols.live_slots(), n * 9u);
+    EXPECT_GE(compactions, 1u);
+    EXPECT_EQ(cols.live_slots(), n * 9u);
 
-  // Segments on both sides of the compaction point still mirror the
-  // adapter automatons exactly, pre-rebuild estimates included.
-  double hw = 1.0;
-  for (gcs::core::NodeId u : {0u, 200u, 341u, 342u, 599u}) {
-    gcs::core::StoreDelivery d;
-    d.from = (u + 3) % n;
-    d.to = u;
-    d.value = 500.0 + u;
-    d.hw_now = hw;
-    d.now = hw;
-    nodes[u].on_message(at(u, hw), d.from, d.value);
-    const double want = nodes[u].step(at(u, hw));
-    sink.jumps.clear();
-    cols.on_deliveries(&d, 1, sink);
-    ASSERT_EQ(sink.jumps.at(0), want) << "node " << u;
-    EXPECT_EQ(cols.logical_clock(u, hw), nodes[u].logical_clock(hw));
-    hw += 0.5;
-  }
+    // Segments on both sides of the compaction point still mirror the
+    // oracle automatons exactly, pre-rebuild estimates included.
+    double hw = 1.0;
+    for (gcs::core::NodeId u : {0u, 200u, 341u, 342u, 599u}) {
+      gcs::core::StoreDelivery d;
+      d.from = (u + 3) % n;
+      d.to = u;
+      d.value = 500.0 + u;
+      d.hw_now = hw;
+      d.now = hw;
+      nodes[u]->on_message(at(u, hw), d.from, d.value);
+      const double want = nodes[u]->step(at(u, hw));
+      sink.jumps.clear();
+      cols.on_deliveries(&d, 1, sink);
+      ASSERT_EQ(sink.jumps.at(0), want) << "node " << u;
+      EXPECT_EQ(cols.logical_clock(u, hw), nodes[u]->logical_clock(hw));
+      for (gcs::core::NodeId k = 1; k <= 9; ++k) {
+        const gcs::core::NodeId peer = (u + k) % n;
+        EXPECT_EQ(cols.is_blocked_by(u, peer, hw),
+                  nodes[u]->is_blocked_by(peer, hw))
+            << "node " << u << " peer " << peer;
+      }
+      hw += 0.5;
+    }
 
-  // edge_down still finds every relocated-and-rebuilt slot.
-  for (gcs::core::NodeId u = 0; u < n; ++u) {
-    cols.edge_down(at(u, 2.0), (u + 1) % n);
+    // edge_down still finds every relocated-and-rebuilt slot.
+    for (gcs::core::NodeId u = 0; u < n; ++u) {
+      cols.edge_down(at(u, 2.0), (u + 1) % n);
+    }
+    EXPECT_EQ(cols.live_slots(), n * 8u);
   }
-  EXPECT_EQ(cols.live_slots(), n * 8u);
 }
 
 // End-to-end store equivalence at the simulation layer: the columns
-// store and the per-node adapter must produce bit-identical clocks and
-// identical statistics on the same dynamic run.
+// store and the per-node oracle store (injected through the simulator's
+// NodeStore constructor) must produce bit-identical clocks and identical
+// statistics on the same dynamic run.
 TEST(NetworkSimulation, ColumnsMatchesAdapterTrajectory) {
   const auto p = small_params(8);
   auto make_schedules = [&] {
@@ -397,30 +493,28 @@ TEST(NetworkSimulation, ColumnsMatchesAdapterTrajectory) {
   gcs::core::NetworkSimulation columns(
       p, make_graph(), gcs::net::make_constant_delay(p.T, p.T / 2.0),
       make_schedules());
-  gcs::core::NetworkSimulation adapter(
+  gcs::core::NetworkSimulation per_node(
       p, make_graph(), gcs::net::make_constant_delay(p.T, p.T / 2.0),
-      make_schedules(), [&p](gcs::core::NodeId) {
-        return std::make_unique<gcs::core::DcsaNode>(p);
-      });
+      make_schedules(),
+      gcs::oracle::automaton_store(p.n, [&p](gcs::core::NodeId) {
+        return std::make_unique<gcs::oracle::DcsaNode>(p);
+      }));
   columns.run_until(40.0);
-  adapter.run_until(40.0);
+  per_node.run_until(40.0);
 
   for (gcs::core::NodeId u = 0; u < p.n; ++u) {
-    EXPECT_EQ(columns.logical_clock(u), adapter.logical_clock(u)) << "node "
-                                                                  << u;
+    EXPECT_EQ(columns.logical_clock(u), per_node.logical_clock(u))
+        << "node " << u;
   }
   EXPECT_EQ(columns.stats().messages_delivered,
-            adapter.stats().messages_delivered);
-  EXPECT_EQ(columns.stats().jumps, adapter.stats().jumps);
-  EXPECT_EQ(columns.stats().total_jump, adapter.stats().total_jump);
+            per_node.stats().messages_delivered);
+  EXPECT_EQ(columns.stats().jumps, per_node.stats().jumps);
+  EXPECT_EQ(columns.stats().total_jump, per_node.stats().total_jump);
   EXPECT_GT(columns.stats().jumps, 0u);
-  // The columns store reports its arena; the adapter hides state behind
+  // The columns store reports its arena; the oracle hides state behind
   // heap objects and reports 0.
   EXPECT_GT(columns.stats().arena_bytes, 0u);
-  EXPECT_EQ(adapter.stats().arena_bytes, 0u);
-  // The adapter exposes per-node automatons, the columns store does not.
-  EXPECT_NO_THROW(adapter.node(0));
-  EXPECT_THROW(columns.node(0), std::logic_error);
+  EXPECT_EQ(per_node.stats().arena_bytes, 0u);
 }
 
 }  // namespace

@@ -138,6 +138,25 @@ TEST(DiffTrees, TimingIsIgnoredUnlessAsked) {
   EXPECT_EQ(run.stats.field_diffs, 2u);
 }
 
+TEST(DiffTrees, StoreEchoIsExecutionLayout) {
+  // Trees written while the per-node store was a production option echo
+  // "store": "adapter" and arena_bytes 0 for the same trajectories; they
+  // diff clean against a columns tree even under --strict.
+  const fs::path a = make_tree("store-a");
+  const fs::path b = make_tree("store-b");
+  for (const char* file : {"000-s1.json", "001-s2.json", "002-s3.json"}) {
+    rewrite_cell(b, file, [](json::Value& doc) {
+      doc["config"]["store"] = std::string("adapter");
+      doc["result"]["run_stats"]["arena_bytes"] = std::uint64_t{0};
+    });
+  }
+  cli::DiffOptions options;
+  options.strict = true;
+  const DiffRun run = run_diff(a, b, options);
+  EXPECT_EQ(run.rc, 0) << run.log;
+  EXPECT_TRUE(run.stats.clean());
+}
+
 TEST(DiffTrees, MissingAndExtraCellsAreReported) {
   const fs::path a = make_tree("miss-a");
   const fs::path b = make_tree("miss-b");

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "net/scenario.hpp"
 #include "util/rng.hpp"
 
@@ -120,14 +123,13 @@ TEST(RunExperiment, EngineAndDeliveryKnobsAreTrajectoryNeutral) {
 }
 
 TEST(RunExperiment, VariantAxisRunsAblationProtocols) {
-  // The ablation variants (core/ablation_variants.hpp) through the
-  // harness.  On this quiet spread-drift ring the blocking cap never
+  // The ablation variants (core::DcsaRule on the columns store) through
+  // the harness.  On this quiet spread-drift ring the blocking cap never
   // binds, so noblock and weighted track plain DCSA's physics, while
   // nojump free-runs: with constant rates evenly spaced over
   // [1-rho, 1+rho] and no catch-up, the skew at the final sample is
   // exactly 2 * rho * horizon.
-  auto dcsa_cfg = small_config();
-  dcsa_cfg.store = "adapter";
+  const auto dcsa_cfg = small_config();
   const auto dcsa = gcs::harness::run_experiment(dcsa_cfg);
 
   auto nojump_cfg = dcsa_cfg;
@@ -149,19 +151,92 @@ TEST(RunExperiment, VariantAxisRunsAblationProtocols) {
 }
 
 TEST(RunExperiment, VariantValidationIsLoud) {
-  // The columns arenas implement plain DCSA only; anything else must
-  // refuse to run rather than silently measure the wrong protocol.
+  // An unknown variant or store must refuse to run rather than silently
+  // measure the wrong protocol.  The per-node store is gone from the
+  // harness; asking for it names where it went.
   auto cfg = small_config();
-  cfg.store = "columns";
-  cfg.variant = "nojump";
-  EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
   cfg.store = "adapter";
+  try {
+    gcs::harness::run_experiment(cfg);
+    ADD_FAILURE() << "store=adapter ran";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("tests/oracle"), std::string::npos)
+        << e.what();
+  }
+  cfg.store = "columns";
   cfg.variant = "bogus";
   EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
   cfg.variant = "weighted:0";
   EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
   cfg.variant = "weighted:1.5";
   EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
+}
+
+TEST(RunExperiment, MalformedSpecsAreRefused) {
+  // Every numeric field of a delay or variant spec must be consumed
+  // whole: a trailing suffix used to be dropped silently, so
+  // "constant:0.25x" ran as constant:0.25.
+  struct Spec {
+    std::string delay;
+    std::string variant;
+  };
+  std::vector<Spec> bad = {
+      {"constant:0.25x", "dcsa"},
+      {"uniform:0.1:0.4junk", "dcsa"},
+      {"uniform", "weighted:0.5zz"},
+      {"constant:", "dcsa"},
+      {"constantjunk", "dcsa"},
+      {"constant: 0.25", "dcsa"},
+      {"constant:nan", "dcsa"},
+      {"uniform:0.1:", "dcsa"},
+      {"uniform::0.4", "dcsa"},
+      {"uniform:0.1:0.4:0.5", "dcsa"},
+      {"uniform", "weighted:"},
+      {"uniform", "weighted:inf"},
+      {"uniform", "weighted0.5"},
+  };
+  // A seeded table on top: valid numeric fields with one junk character
+  // spliced in after a random prefix of the number.
+  const std::string junk = "q:_-+. ";
+  gcs::util::Rng rng(2024);
+  for (int k = 0; k < 24; ++k) {
+    const std::string number = k % 2 == 0 ? "0.375" : "0.25";
+    const std::size_t cut = rng.uniform_int(1, number.size());
+    const char c = junk[rng.uniform_int(0, junk.size() - 1)];
+    const std::string field = number.substr(0, cut) + c + number.substr(cut);
+    switch (k % 3) {
+      case 0:
+        bad.push_back({"constant:" + field, "dcsa"});
+        break;
+      case 1:
+        bad.push_back({"uniform:0.125:" + field, "dcsa"});
+        break;
+      default:
+        bad.push_back({"uniform", "weighted:" + field});
+        break;
+    }
+  }
+  for (const Spec& spec : bad) {
+    auto cfg = small_config();
+    cfg.horizon = 1.0;
+    cfg.delay = spec.delay;
+    cfg.variant = spec.variant;
+    EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument)
+        << "delay=" << spec.delay << " variant=" << spec.variant;
+  }
+  // The well-formed neighbours of those specs still run.
+  for (const Spec& spec : {Spec{"constant:0.25", "dcsa"},
+                           Spec{"uniform:0.1:0.4", "dcsa"},
+                           Spec{"uniform:0.1", "weighted:0.5"},
+                           Spec{"constant", "weighted"},
+                           Spec{"uniform", "weighted:1e-1"}}) {
+    auto cfg = small_config();
+    cfg.horizon = 1.0;
+    cfg.delay = spec.delay;
+    cfg.variant = spec.variant;
+    EXPECT_NO_THROW(gcs::harness::run_experiment(cfg))
+        << "delay=" << spec.delay << " variant=" << spec.variant;
+  }
 }
 
 TEST(RunExperiment, SampleAtHorizonBoundaryFiresUnderBothEngines) {

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "core/dcsa_node.hpp"
 #include "core/network_sim.hpp"
 #include "harness/envelope.hpp"
 #include "harness/experiment.hpp"
@@ -118,7 +117,6 @@ void check_invariants(const std::string& kind, std::uint64_t seed) {
   NetworkSimulation sim(
       p, draw_scenario(kind, p, horizon, rng).to_dynamic_graph(),
       gcs::net::make_uniform_delay(p.T, 0.0, p.T), std::move(schedules),
-      [&p](NodeId) { return std::make_unique<gcs::core::DcsaNode>(p); },
       options);
 
   const double slack = options.conformance_slack;

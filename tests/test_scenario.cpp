@@ -180,24 +180,36 @@ TEST(IntervalConnectivity, EnforcerMakesBackboneFreeMobilityAuditClean) {
   EXPECT_EQ(net::enforce_interval_connectivity(s, window, horizon), 0u);
 }
 
-TEST(IntervalConnectivity, EnforcerThrowsWhenNoCollisionFreeConnectorExists) {
+TEST(IntervalConnectivity, EnforcerKeepsACollidingConnectorUpWithoutAGap) {
   // n=2 and the only possible edge gets its base bring-up at exactly the
-  // first window's end: a connector teardown there would cancel it, so
-  // the enforcer cannot patch window 0 and must throw, not silently
-  // weaken the guarantee.
+  // first window's end: a connector teardown there would cancel it.
+  // With no collision-free candidate the enforcer takes the colliding
+  // edge anyway and drops its teardown, so the base bring-up becomes a
+  // redundant add and the edge stays up from the window start on.
   net::Scenario s;
   s.n = 2;
   s.name = "adversarial";
   s.events = {net::TopologyEvent{2.0, net::Edge(0, 1), true}};
-  EXPECT_THROW(net::enforce_interval_connectivity(s, /*window=*/2.0,
-                                                  /*horizon=*/6.0),
-               std::runtime_error);
+  net::Scenario patched = s;
+  EXPECT_EQ(net::enforce_interval_connectivity(patched, /*window=*/2.0,
+                                               /*horizon=*/6.0),
+            1u);
+  ASSERT_EQ(patched.events.size(), 2u);
+  EXPECT_EQ(patched.events[1].at, 0.0);
+  EXPECT_TRUE(patched.events[1].add);
+  const net::DynamicGraph graph = patched.to_dynamic_graph();
+  EXPECT_EQ(net::audit_interval_connectivity(graph, 2.0, 6.0)
+                .windows_disconnected,
+            0u);
+  for (const double t : {0.0, 1.0, 2.0, 3.0, 5.9}) {
+    EXPECT_TRUE(graph.connected_at(t)) << "t=" << t;
+  }
   EXPECT_THROW(net::enforce_interval_connectivity(s, -1.0, 6.0),
                std::invalid_argument);
 
-  // Move the bring-up off the boundary and the same schedule is
-  // patchable: the connector replays the edge early, the base bring-up
-  // becomes a redundant add, and the full schedule audits clean.
+  // Move the bring-up off the boundary and the ordinary connector (up
+  // at the window start, down at its end) fits: the base bring-up lands
+  // after the teardown and the full schedule audits clean.
   net::Scenario ok = s;
   ok.events[0].at = 2.5;
   EXPECT_GT(net::enforce_interval_connectivity(ok, 2.0, 6.0), 0u);

@@ -8,8 +8,8 @@
 // fields within --tol, and the machine-describing fields (wall_ms,
 // events_per_sec, arena_bytes, peak_rss_kb) are ignored unless --timing
 // is given (they describe the host and store layout, not the
-// trajectory, so a --jobs N or --store=adapter tree diffs clean against
-// a --jobs 1 columns baseline).  Exit codes:
+// trajectory, so a --jobs N tree diffs clean against a --jobs 1
+// baseline).  Exit codes:
 // 0 trees match (or differences found without --strict), 1 differences
 // under --strict, 2 bad usage or unreadable tree.
 #include <cstdlib>
