@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <numeric>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +31,7 @@
 #include "obs/telemetry.hpp"
 #include "oracle/automaton_store.hpp"
 #include "oracle/dcsa_node.hpp"
+#include "oracle/reference_clock.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
@@ -453,6 +456,72 @@ void BM_MillionNodeChurn(benchmark::State& state) {
       n == 0 ? 0.0 : static_cast<double>(arena_bytes) / static_cast<double>(n);
 }
 
+// Clock reads: 10^5 random-walk clocks (the harness's walk drift) read
+// in a shuffled node order while t sweeps 0..4, so every clock extends
+// its schedule as the sweep advances.  Each iteration runs the PAIR of
+// arms back to back on freshly built clocks -- the engine-carrying oracle
+// (tests/oracle/reference_clock.hpp) then production clk::HardwareClock --
+// and times the reads only.  `clock_read_speedup` is the MEDIAN of the
+// per-pair oracle/production quotients (> 1: production reads faster),
+// the ns-per-read counters the medians of each arm.  Report only; no gate.
+template <class Clock, class Schedule>
+double clock_read_seconds(std::size_t n, const std::vector<std::size_t>& order,
+                          double* checksum) {
+  const double rho = 0.02;
+  std::vector<Clock> clocks;
+  clocks.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    clocks.emplace_back(Schedule::random_walk(rho, 1.0, rho / 4.0, 7919 + i));
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  double sum = 0.0;
+  for (int k = 0; k <= 20; ++k) {
+    const double t = 0.2 * k;
+    for (const std::size_t u : order) sum += clocks[u].value_at(t);
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  *checksum = sum;
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+void BM_ClockReads(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::shuffle(order.begin(), order.end(), std::mt19937_64(1));
+  const double reads = 21.0 * static_cast<double>(n);
+  std::vector<double> ratios;
+  std::vector<double> oracle_ns;
+  std::vector<double> production_ns;
+  for (auto _ : state) {
+    double oracle_sum = 0.0;
+    double production_sum = 0.0;
+    const double oracle_s =
+        clock_read_seconds<gcs::oracle::ReferenceClock,
+                           gcs::oracle::ReferenceSchedule>(n, order,
+                                                           &oracle_sum);
+    const double production_s =
+        clock_read_seconds<gcs::clk::HardwareClock, gcs::clk::RateSchedule>(
+            n, order, &production_sum);
+    if (oracle_sum != production_sum) {
+      state.SkipWithError("clocks diverged; see tests/test_clock.cpp");
+      return;
+    }
+    oracle_ns.push_back(oracle_s * 1e9 / reads);
+    production_ns.push_back(production_s * 1e9 / reads);
+    if (production_s > 0.0) ratios.push_back(oracle_s / production_s);
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v.empty() ? 0.0 : v[v.size() / 2];
+  };
+  state.SetItemsProcessed(static_cast<std::int64_t>(2 * reads) *
+                          state.iterations());
+  state.counters["clock_read_speedup"] = median(ratios);
+  state.counters["oracle_ns_per_read"] = median(oracle_ns);
+  state.counters["production_ns_per_read"] = median(production_ns);
+}
+
 void BM_DcsaSimulationWithChecks(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   gcs::harness::ExperimentConfig cfg;
@@ -498,6 +567,10 @@ BENCHMARK(BM_ShardedHold)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MillionNodeChurn)
     ->Arg(20000)     // million-node shape at a benchable n
+    ->Iterations(5)  // fixed median sample size; two paired arms each
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ClockReads)
+    ->Arg(100000)
     ->Iterations(5)  // fixed median sample size; two paired arms each
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DcsaSimulationWithChecks)->Arg(8)->Arg(32)

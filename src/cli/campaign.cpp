@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
 
 #include "harness/serialize.hpp"
 #include "net/trace.hpp"
+#include "util/decimal.hpp"
 #include "util/rng.hpp"
 
 namespace gcs::cli {
@@ -176,13 +178,12 @@ ScenarioSpec ScenarioSpec::from_flag(const std::string& spec) {
       // a non-numeric value there keeps the targeted error below.
       doc[key] = value;
     } else {
-      char* end = nullptr;
-      const double num = std::strtod(value.c_str(), &end);
-      if (end != value.c_str() + value.size()) {
+      const std::optional<double> num = util::parse_decimal(value);
+      if (!num) {
         fail("bad scenario knob value '" + value + "' for knob '" + key +
              "'");
       }
-      doc[key] = num;
+      doc[key] = *num;
     }
   }
   return from_json(doc);
@@ -289,14 +290,14 @@ std::vector<json::Value> expand_seeds_object(const json::Value& v) {
   return seeds;
 }
 
-// Parses one override token: JSON-number syntax -> number, else string.
+// Parses one override token: a decimal number -> number, else string (so
+// "0x10" or "nan" reaches the typed config reader as a string and is
+// refused there, instead of running as 16 or NaN).
 json::Value parse_scalar(const std::string& token) {
   if (token == "true") return json::Value(true);
   if (token == "false") return json::Value(false);
-  char* end = nullptr;
-  const double num = std::strtod(token.c_str(), &end);
-  if (!token.empty() && end == token.c_str() + token.size()) {
-    return json::Value(num);
+  if (const std::optional<double> num = util::parse_decimal(token)) {
+    return json::Value(*num);
   }
   return json::Value(token);
 }

@@ -9,11 +9,17 @@
 // answers both directions: value_at(real time) and time_when(clock value)
 // (the latter is what the simulator uses to schedule "every delta_h of
 // hardware time" broadcasts as real-time events).
+//
+// A walk schedule holds no random engine.  It keeps its seed and the
+// number of std::mt19937_64 outputs its segments have consumed; each
+// extension rebuilds that stream on the stack, skips the used outputs and
+// appends a chunk of segments, so the segments are exactly those one
+// engine drawn step by step would give, at 80 bytes per clock (plus its
+// segments) instead of the engine's 2.5 KB.
 #ifndef GCS_CLK_CLOCK_HPP
 #define GCS_CLK_CLOCK_HPP
 
 #include <cstdint>
-#include <random>
 #include <vector>
 
 namespace gcs::clk {
@@ -50,15 +56,19 @@ class RateSchedule {
   // Ensures segments cover real time `t` / clock value `v`.
   void extend_to_time(double t) const;
   void extend_to_value(double v) const;
-  void push_next_segment() const;
+  // Appends at least one chunk of segments, and then more until
+  // `covered(segments_.back())` holds.
+  template <class Covered>
+  void extend(Covered covered) const;
 
   mutable std::vector<Segment> segments_;
-  bool walk_ = false;
   double lo_ = 1.0;
   double hi_ = 1.0;
   double step_dt_ = 1.0;
   double sigma_ = 0.0;
-  mutable std::mt19937_64 gen_{0};
+  std::uint64_t seed_ = 0;
+  mutable std::uint64_t draws_ = 0;  // engine outputs the segments consumed
+  bool walk_ = false;
 };
 
 // A hardware clock starting at value 0 at real time 0, advancing at the

@@ -1,9 +1,9 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -11,30 +11,23 @@
 #include "core/dcsa_columns.hpp"
 #include "net/link.hpp"
 #include "net/topology.hpp"
+#include "util/decimal.hpp"
 
 namespace gcs::harness {
 
 namespace {
 
 // The numeric field `text` of a delay or variant spec: the whole string
-// must be one finite number ("0.25x" and "" are refused, not truncated).
-// `what` leads the error message.
+// must be one finite decimal number ("0.25x", "0x.4" and "" are refused,
+// not truncated or read as hex).  `what` leads the error message.
 double spec_number(const std::string& text, const std::string& what,
                    const std::string& spec) {
-  double value = 0.0;
-  std::size_t used = 0;
-  try {
-    if (!text.empty() && !std::isspace(static_cast<unsigned char>(text[0]))) {
-      value = std::stod(text, &used);
-    }
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used == 0 || used != text.size() || !std::isfinite(value)) {
+  const std::optional<double> value = util::parse_decimal(text);
+  if (!value) {
     throw std::invalid_argument(what + " '" + spec +
                                 "' has a malformed number '" + text + "'");
   }
-  return value;
+  return *value;
 }
 
 net::Scenario build_scenario(const ExperimentConfig& cfg) {
@@ -177,8 +170,12 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
                                 obs::Recorder* recorder) {
   const core::SyncParams& p = cfg.params;
   if (p.n < 2) throw std::invalid_argument("run_experiment: need n >= 2");
-  if (cfg.horizon <= 0.0 || cfg.sample_dt <= 0.0) {
-    throw std::invalid_argument("run_experiment: bad horizon/sample_dt");
+  if (!(std::isfinite(cfg.horizon) && cfg.horizon > 0.0) ||
+      !(std::isfinite(cfg.sample_dt) && cfg.sample_dt > 0.0)) {
+    throw std::invalid_argument(
+        "run_experiment: horizon and sample_dt must be finite and positive "
+        "(horizon " + std::to_string(cfg.horizon) + ", sample_dt " +
+        std::to_string(cfg.sample_dt) + ")");
   }
 
   net::Scenario scenario = build_scenario(cfg);

@@ -1,8 +1,11 @@
 #include "net/link.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <vector>
+
+#include "util/decimal.hpp"
 
 namespace gcs::net {
 
@@ -32,16 +35,13 @@ std::vector<Knob> parse_knobs(const std::string& spec, std::size_t start,
       throw std::invalid_argument("traffic '" + spec + "': knob '" + part +
                                   "' is not key=value");
     }
-    double value = 0.0;
-    try {
-      std::size_t used = 0;
-      value = std::stod(part.substr(eq + 1), &used);
-      if (used != part.size() - eq - 1) throw std::invalid_argument("trail");
-    } catch (const std::exception&) {
+    const std::optional<double> value =
+        util::parse_decimal(part.substr(eq + 1));
+    if (!value) {
       throw std::invalid_argument("traffic '" + spec + "': knob '" + part +
                                   "' has a non-numeric value");
     }
-    knobs.push_back(Knob{part.substr(0, eq), value});
+    knobs.push_back(Knob{part.substr(0, eq), *value});
     pos = next == std::string::npos ? spec.size() : next;
   }
   (void)kind;

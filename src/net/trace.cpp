@@ -4,9 +4,12 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/decimal.hpp"
 
 namespace gcs::net {
 
@@ -45,15 +48,12 @@ std::vector<std::string> split_fields(const std::string& line) {
 }
 
 double parse_time(const std::string& token, std::size_t line_no) {
-  char* end = nullptr;
-  const double t = std::strtod(token.c_str(), &end);
-  if (token.empty() || end != token.c_str() + token.size()) {
-    fail_line(line_no, "bad time '" + token + "'");
-  }
-  if (!std::isfinite(t) || t < 0.0) {
+  const std::optional<double> t = util::parse_decimal(token);
+  if (!t) fail_line(line_no, "bad time '" + token + "'");
+  if (*t < 0.0) {
     fail_line(line_no, "time must be finite and >= 0, got '" + token + "'");
   }
-  return t;
+  return *t;
 }
 
 std::size_t parse_count(const std::string& token, std::size_t line_no,

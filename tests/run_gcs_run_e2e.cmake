@@ -1,9 +1,14 @@
 # End-to-end CTest for gcs_run: drive the real binary through a 2-cell
-# sweep in --check mode and validate the CSV artifact's shape.
+# sweep in --check mode and validate the CSV artifact's shape.  Then feed
+# gcs_run and gcs_diff numbers they must refuse -- non-finite horizons
+# (which once ran forever) and hex or non-finite spec numbers (which once
+# ran as a different value) -- each under a timeout, expecting a prompt
+# non-zero exit.
 #
 # Invoked in script mode by CTest (see add_test in the top-level
 # CMakeLists) with:
 #   -DGCS_RUN=<path to the built gcs_run>
+#   -DGCS_DIFF=<path to the built gcs_diff>
 #   -DOUT_DIR=<scratch directory for the results tree>
 #
 # The header below intentionally duplicates kCsvHeader from
@@ -76,4 +81,43 @@ if(NOT jsonl_count EQUAL 2)
   message(FATAL_ERROR "expected 2 JSONL lines, got ${jsonl_count}")
 endif()
 
-message(STATUS "gcs_run e2e: 2-cell sweep ok, CSV schema intact")
+# Refused inputs.  A timeout leaves rc as a message string, not a number,
+# so "rc is a positive integer" also proves the exit was prompt.
+set(REFUSED_DIR "${OUT_DIR}-refused")
+foreach(bad
+    "--horizon=nan" "--horizon=inf" "--horizon=-1" "--horizon=1e999"
+    "--sample_dt=nan" "--sample_dt=0"
+    "--n=0x10"
+    "--variant=weighted:0x.375"
+    "--delay=constant:0x.4"
+    "--scenario=churn:volatile_edges=0x3:lifetime=2"
+    "--traffic=cbr:bw=0x1F40:rate=12")
+  file(REMOVE_RECURSE "${REFUSED_DIR}")
+  execute_process(
+    COMMAND "${GCS_RUN}" --n=8 --topology=ring --horizon=2 ${bad}
+            --out "${REFUSED_DIR}"
+    TIMEOUT 30
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE stdout
+    ERROR_VARIABLE stderr)
+  if(NOT rc MATCHES "^[1-9][0-9]*$")
+    message(FATAL_ERROR "gcs_run ${bad}: wanted a prompt non-zero exit, "
+                        "got '${rc}'\nstdout:\n${stdout}\nstderr:\n${stderr}")
+  endif()
+endforeach()
+foreach(bad "--tol=0x1" "--tol=nan" "--max-diffs=0x10")
+  execute_process(
+    COMMAND "${GCS_DIFF}" "${OUT_DIR}" "${OUT_DIR}" ${bad}
+    TIMEOUT 30
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE stdout
+    ERROR_VARIABLE stderr)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "gcs_diff ${bad}: wanted exit 2 (bad usage), "
+                        "got '${rc}'\n${stdout}${stderr}")
+  endif()
+endforeach()
+file(REMOVE_RECURSE "${REFUSED_DIR}")
+
+message(STATUS "gcs_run e2e: 2-cell sweep ok, CSV schema intact, "
+               "malformed numbers refused")

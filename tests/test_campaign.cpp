@@ -4,6 +4,9 @@
 
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "util/json.hpp"
@@ -205,6 +208,12 @@ TEST(Campaign, ScenarioFlagSyntax) {
   EXPECT_THROW(cli::ScenarioSpec::from_flag("churn:period=3"),
                std::invalid_argument);  // knob of the wrong kind
   EXPECT_THROW(cli::ScenarioSpec::from_flag("warp"), std::invalid_argument);
+  // Knob values are decimal: hex ("0x3" read as 3) and "nan" are refused.
+  EXPECT_THROW(
+      cli::ScenarioSpec::from_flag("churn:volatile_edges=0x3:lifetime=2"),
+      std::invalid_argument);
+  EXPECT_THROW(cli::ScenarioSpec::from_flag("churn:lifetime=nan"),
+               std::invalid_argument);
 }
 
 TEST(Campaign, SpecJsonRoundTrip) {
@@ -297,6 +306,15 @@ TEST(Campaign, RejectsMalformedCampaigns) {
                std::invalid_argument);
   EXPECT_THROW(cli::build_campaign(nullptr, {{"seeds", "1..x"}}),
                std::invalid_argument);
+  // Override numbers are decimal: "0x10" stays a string (once it read as
+  // n=16), and so do "nan" and "inf", which the typed reader refuses.
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"n", "0x10"}, {"horizon", "nan"}, {"horizon", "inf"},
+           {"sample_dt", "1e999"}, {"rho", "0x.1"}}) {
+    EXPECT_ANY_THROW(cli::build_campaign(nullptr, {{key, value}}))
+        << "--" << key << "=" << value;
+  }
 }
 
 TEST(Campaign, NameIsSanitizedForPathsAndCsv) {

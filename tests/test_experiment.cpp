@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -194,9 +195,20 @@ TEST(RunExperiment, MalformedSpecsAreRefused) {
       {"uniform", "weighted:"},
       {"uniform", "weighted:inf"},
       {"uniform", "weighted0.5"},
+      // strtod reads hex floats: "0x.375" once ran as weight 0.216.
+      {"uniform", "weighted:0x.375"},
+      {"constant:0x.4", "dcsa"},
+      {"uniform:0x.1:0.4", "dcsa"},
+      {"constant:0X.4", "dcsa"},
+      {"constant:0x1p-2", "dcsa"},
+      {"constant:infinity", "dcsa"},
+      {"constant:1e999", "dcsa"},
+      {"constant:.25", "dcsa"},
+      {"constant:0.", "dcsa"},
   };
   // A seeded table on top: valid numeric fields with one junk character
-  // spliced in after a random prefix of the number.
+  // spliced in after a random prefix of the number.  A second seeded run
+  // splices an 'x' (or 'X'), which can turn the number into a hex float.
   const std::string junk = "q:_-+. ";
   gcs::util::Rng rng(2024);
   for (int k = 0; k < 24; ++k) {
@@ -215,6 +227,15 @@ TEST(RunExperiment, MalformedSpecsAreRefused) {
         bad.push_back({"uniform", "weighted:" + field});
         break;
     }
+  }
+  gcs::util::Rng hex_rng(2026);
+  for (int k = 0; k < 12; ++k) {
+    const std::string number = k % 2 == 0 ? "0.375" : "0.25";
+    const std::size_t cut = hex_rng.uniform_int(1, number.size() - 1);
+    const char c = hex_rng.uniform_int(0, 1) == 0 ? 'x' : 'X';
+    const std::string field = number.substr(0, cut) + c + number.substr(cut);
+    bad.push_back(k % 2 == 0 ? Spec{"constant:" + field, "dcsa"}
+                             : Spec{"uniform", "weighted:" + field});
   }
   for (const Spec& spec : bad) {
     auto cfg = small_config();
@@ -236,6 +257,22 @@ TEST(RunExperiment, MalformedSpecsAreRefused) {
     cfg.variant = spec.variant;
     EXPECT_NO_THROW(gcs::harness::run_experiment(cfg))
         << "delay=" << spec.delay << " variant=" << spec.variant;
+  }
+}
+
+TEST(RunExperiment, NonFiniteOrNonPositiveHorizonIsRefused) {
+  // A NaN horizon passed a `<= 0` guard and the run never ended.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {nan, inf, -inf, 0.0, -1.0}) {
+    auto cfg = small_config();
+    cfg.horizon = bad;
+    EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument)
+        << "horizon=" << bad;
+    cfg = small_config();
+    cfg.sample_dt = bad;
+    EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument)
+        << "sample_dt=" << bad;
   }
 }
 

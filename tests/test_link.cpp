@@ -95,6 +95,10 @@ TEST(ParseTraffic, StrictErrors) {
   EXPECT_THROW(parse_traffic("idle:bw"), std::invalid_argument);
   EXPECT_THROW(parse_traffic("idle:bw=fast"), std::invalid_argument);
   EXPECT_THROW(parse_traffic("idle:bw=8000x"), std::invalid_argument);
+  EXPECT_THROW(parse_traffic("cbr:bw=0x1F40:rate=12"), std::invalid_argument);
+  EXPECT_THROW(parse_traffic("cbr:bw=8000:rate=0xC"), std::invalid_argument);
+  EXPECT_THROW(parse_traffic("idle:bw=inf"), std::invalid_argument);
+  EXPECT_THROW(parse_traffic("idle:bw= 8000"), std::invalid_argument);
   EXPECT_THROW(parse_traffic("idle:queue=-1"), std::invalid_argument);
   EXPECT_THROW(parse_traffic("cbr:bw=4000"), std::invalid_argument);  // no rate
   EXPECT_THROW(parse_traffic("cbr:rate=10"), std::invalid_argument);  // no bw

@@ -12,13 +12,14 @@
 // baseline).  Exit codes:
 // 0 trees match (or differences found without --strict), 1 differences
 // under --strict, 2 bad usage or unreadable tree.
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cli/diff.hpp"
+#include "util/decimal.hpp"
 
 namespace {
 
@@ -48,9 +49,9 @@ exit codes: 0 match (or non-strict), 1 differences under --strict,
 )";
 
 bool parse_number(const std::string& value, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(value.c_str(), &end);
-  return !value.empty() && end == value.c_str() + value.size();
+  const std::optional<double> parsed = gcs::util::parse_decimal(value);
+  if (parsed) *out = *parsed;
+  return parsed.has_value();
 }
 
 }  // namespace
